@@ -51,7 +51,7 @@ def theta_from_doc(doc: dict):
         rs = build_root_system(DynkinType.parse(doc["type"]))
         n = int(doc["n"])
         entries = [Fraction(doc["entries"][str(i)]) for i in rs.vertices]
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise DocumentError(f"malformed stability document: {exc}") from None
     return make_theta(rs, tuple(n * d for d in rs.delta), entries)
 
@@ -94,7 +94,7 @@ def rep_from_doc(doc: dict) -> FramedRep:
         }
     except DocumentError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise DocumentError(f"malformed representation document: {exc}") from None
     return FramedRep(framed_quiver(rs), field, dims, matrices)
 
@@ -140,7 +140,7 @@ def _parse_field(tag: str):
 def _parse_fractions(text: str):
     try:
         return tuple(Fraction(x) for x in text.split(","))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise DocumentError(f"bad rational list {text!r}") from None
 
 

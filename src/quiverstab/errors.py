@@ -45,6 +45,10 @@ class UnsupportedField(DomainError):
     pass
 
 
+class NonIntegralEntry(DomainError):
+    """A rational whose denominator is divisible by p has no image in F_p."""
+
+
 class MultipleFramings(DomainError):
     pass
 

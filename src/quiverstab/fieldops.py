@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NonIntegralEntry, UnsupportedField
+
 
 class Rationals:
     """The field of rational numbers with exact Fraction arithmetic."""
@@ -69,7 +71,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise UnsupportedField(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
         self.zero = 0
@@ -78,7 +80,9 @@ class PrimeField:
     def coerce(self, x):
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+                raise NonIntegralEntry(
+                    f"{x} has no image in F{self.p}: its denominator is divisible by {self.p}"
+                )
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         return int(x) % self.p
 
@@ -185,6 +189,11 @@ def trace(field, a):
     return s
 
 
+def leading_index(field, row):
+    """Column of the first nonzero entry of ``row``, or None for a zero row."""
+    return next((j for j, x in enumerate(row) if not field.is_zero(x)), None)
+
+
 def reduce_against(field, basis, pivots, vec):
     """Reduce ``vec`` against echelon rows ``basis`` with pivot columns ``pivots``."""
     v = list(vec)
@@ -204,7 +213,7 @@ def echelon_insert(field, basis, pivots, vec):
     rows are normalized to leading coefficient one and fully reduced.
     """
     v = reduce_against(field, basis, pivots, vec)
-    piv = next((j for j, x in enumerate(v) if not field.is_zero(x)), None)
+    piv = leading_index(field, v)
     if piv is None:
         return False
     inv = field.inv(v[piv])

@@ -3,20 +3,26 @@
 Over a small prime field every submodule of a framed representation is a
 sum of cyclic submodules, and a cyclic submodule is determined by a seed
 vector supported at a single vertex (the vertex idempotents belong to the
-path algebra).  The lattice is therefore enumerated from the per-vertex
-projective seed vectors and closed under pairwise sums, which keeps the
-search exact and exhaustive at desk scale.
+path algebra).  The atoms of the lattice are the distinct spins of the
+per-vertex seed lines; every node is a sum of atoms, so closing the atoms
+under joins with one atom at a time reaches the whole lattice, which keeps
+the search exact and exhaustive at desk scale.  Each node records the set
+of atoms it contains as an int bitset, and containment of nodes is
+containment of their bitsets.
 
-Stability verdicts, Harder-Narasimhan filtrations, and destabilizer
-witnesses all come from walking that lattice.  The verdicts certify the
-prime-field reduction only; the report says so explicitly.
+Stability verdicts and destabilizer witnesses come from walking that
+lattice.  Harder-Narasimhan and Jordan-Hoelder filtrations walk intervals
+[U, W] of the same lattice, which are the submodule lattices of the
+subquotients W/U, so each certificate builds one lattice.  The verdicts
+certify the prime-field reduction only; the report says so explicitly.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache, cached_property, partial
 
 from .errors import (
     IndexMismatch,
@@ -25,7 +31,16 @@ from .errors import (
     NotAModule,
     UnsupportedField,
 )
-from .fieldops import PrimeField, Rationals, mat_vec, rank, rref
+from .fieldops import (
+    PrimeField,
+    Rationals,
+    echelon_insert,
+    leading_index,
+    mat_vec,
+    rank,
+    reduce_against,
+    rref,
+)
 from .quiverrep import DimVector, FramedRep, INF, is_pi_bar_module, moment_defect
 from .stability import StabilityVector, pair_dim
 
@@ -55,8 +70,6 @@ def spin(rep: FramedRep, seeds):
             raise IndexMismatch(f"seed at {vertex!r} has the wrong length")
         work.append((vertex, tuple(field.coerce(x) for x in vec)))
 
-    from .fieldops import echelon_insert
-
     while work:
         vertex, vec = work.pop()
         rows, pivots = bases[vertex]
@@ -73,10 +86,8 @@ def _signature(rep, family):
     return tuple(family[v] for v in _vertex_order(rep))
 
 
-def _dims_of(rep, family) -> DimVector:
-    r = len(family[INF])
-    v = tuple(len(family[i]) for i in rep.quiver.rs.vertices)
-    return DimVector(r, v)
+def _sig_dims(sig) -> DimVector:
+    return DimVector(len(sig[0]), tuple(len(rows) for rows in sig[1:]))
 
 
 @dataclass(frozen=True)
@@ -94,24 +105,24 @@ class SubmoduleNode:
 class SubmoduleLattice:
     rep: FramedRep
     nodes: tuple
-    relations: tuple  # pairs (i, j) with node i properly contained in node j
+    # per node, the atoms it contains as a bitset: node i lies in node j
+    # exactly when masks[i] & ~masks[j] == 0
+    masks: tuple = dc_field(repr=False)
 
     def __len__(self):
         return len(self.nodes)
 
-
-def _contained(field, small, big) -> bool:
-    from .fieldops import reduce_against
-
-    for rows_s, rows_b in zip(small, big):
-        if not rows_s:
-            continue
-        pivots = [next(j for j, x in enumerate(row) if not field.is_zero(x)) for row in rows_b] if rows_b else []
-        for row in rows_s:
-            residue = reduce_against(field, list(rows_b), pivots, row)
-            if any(not field.is_zero(x) for x in residue):
-                return False
-    return True
+    @cached_property
+    def relations(self) -> tuple:
+        """Pairs (i, j) with node i properly contained in node j."""
+        # nodes are sorted by total dimension, so a proper superset comes later
+        masks = self.masks
+        return tuple(
+            (i, j)
+            for i in range(len(masks))
+            for j in range(i + 1, len(masks))
+            if not masks[i] & ~masks[j]
+        )
 
 
 def submodule_lattice(rep: FramedRep, dim_caps=None, node_cap: int = DEFAULT_NODE_CAP) -> SubmoduleLattice:
@@ -136,65 +147,75 @@ def submodule_lattice(rep: FramedRep, dim_caps=None, node_cap: int = DEFAULT_NOD
         )
 
     order = _vertex_order(rep)
-    nodes = {}
+    nodes = {}  # signature -> (atom bitset, pivot columns per vertex), set once atoms are known
 
-    def add(family):
-        sig = _signature(rep, family)
+    def add(sig):
         if sig not in nodes:
             if len(nodes) >= node_cap:
                 raise LatticeTooLarge(f"lattice exceeds {node_cap} nodes")
-            nodes[sig] = family
+            nodes[sig] = None
             return sig
         return None
 
-    add({v: () for v in order})
-    fresh = []
-    for vertex in order:
+    zero = tuple(() for _ in order)
+    add(zero)
+    atoms = []  # (vertex position, seed vector, signature of its spin)
+    for k, vertex in enumerate(order):
         d = rep.dims.at(vertex)
         for vec in itertools.product(range(field.p), repeat=d):
             lead = next((x for x in vec if x != 0), None)
             if lead != 1:  # one seed per line through the origin
                 continue
-            family = spin(rep, [(vertex, vec)])
-            sig = add(family)
+            sig = add(_signature(rep, spin(rep, [(vertex, vec)])))
             if sig is not None:
-                fresh.append(sig)
+                atoms.append((k, vec, sig))
 
-    def join(fam_a, fam_b):
-        out = {}
-        for v in order:
-            rows, _ = rref(field, fam_a[v] + fam_b[v])
-            out[v] = rows
-        return out
+    def mask_of(sig, pivots, known):
+        """Bitset of the atoms in node sig; the atoms in ``known`` are given."""
+        mask = known
+        for bit, (k, seed, _) in enumerate(atoms):
+            if not mask >> bit & 1 and not any(reduce_against(field, sig[k], pivots[k], seed)):
+                mask |= 1 << bit
+        return mask
 
+    def pivots_of(sig):
+        return tuple(tuple(leading_index(field, row) for row in rows) for rows in sig)
+
+    nodes[zero] = (0, pivots_of(zero))
+    for bit, (_, _, sig) in enumerate(atoms):
+        pivots = pivots_of(sig)
+        nodes[sig] = (mask_of(sig, pivots, 1 << bit), pivots)
+    # the join with atom a touches only the vertices where a is nonzero
+    supports = [
+        (nodes[sig][0], [(k, rows) for k, rows in enumerate(sig) if rows])
+        for _, _, sig in atoms
+    ]
+
+    fresh = [sig for _, _, sig in atoms]
     while fresh:
         frontier, fresh = fresh, []
-        existing = list(nodes.keys())
         for sig_a in frontier:
-            for sig_b in existing:
-                joined = join(nodes[sig_a], nodes[sig_b])
-                sig = add(joined)
+            mask_a, pivots_a = nodes[sig_a]
+            for bit, (atom_mask, support) in enumerate(supports):
+                if mask_a >> bit & 1:
+                    continue
+                sig, pivots = list(sig_a), list(pivots_a)
+                for k, rows in support:
+                    sig[k], pivots[k] = rref(field, sig_a[k] + rows)
+                sig = add(tuple(sig))
                 if sig is not None:
+                    nodes[sig] = (mask_of(sig, pivots, mask_a | atom_mask), tuple(pivots))
                     fresh.append(sig)
 
-    families = sorted(
-        nodes.values(),
-        key=lambda fam: (_dims_of(rep, fam).total(), _dims_of(rep, fam).key(), _signature(rep, fam)),
+    entries = sorted(
+        ((SubmoduleNode(bases=sig, dims=_sig_dims(sig)), mask) for sig, (mask, _) in nodes.items()),
+        key=lambda entry: (entry[0].dims.total(), entry[0].dims.key(), entry[0].bases),
     )
-    node_objs = tuple(
-        SubmoduleNode(bases=_signature(rep, fam), dims=_dims_of(rep, fam))
-        for fam in families
+    return SubmoduleLattice(
+        rep=rep,
+        nodes=tuple(node for node, _ in entries),
+        masks=tuple(mask for _, mask in entries),
     )
-    relations = []
-    for i, a in enumerate(node_objs):
-        for j, b in enumerate(node_objs):
-            if i == j or a.dims.total() > b.dims.total():
-                continue
-            if a.dims.total() == b.dims.total():
-                continue
-            if _contained(field, a.bases, b.bases):
-                relations.append((i, j))
-    return SubmoduleLattice(rep=rep, nodes=node_objs, relations=tuple(relations))
 
 
 @dataclass(frozen=True)
@@ -233,87 +254,7 @@ def is_framing_cyclic(rep: FramedRep) -> bool:
     if rep.dims.r != 1:
         raise NoFraming("the representation has no framing component")
     span = spin(rep, [(INF, (rep.field.one,))])
-    return _dims_of(rep, span) == rep.dims
-
-
-# -- subrepresentations and quotients (internal) ------------------------------
-
-def _coords_in_rref(field, rows, vec):
-    """Coordinates of vec in the span of reduced echelon rows (must lie in it)."""
-    pivots = [next(j for j, x in enumerate(row) if not field.is_zero(x)) for row in rows]
-    coords = tuple(vec[p] for p in pivots)
-    residue = list(vec)
-    for c, row in zip(coords, rows):
-        residue = [field.sub(x, field.mul(c, y)) for x, y in zip(residue, row)]
-    if any(not field.is_zero(x) for x in residue):
-        raise AssertionError("vector is not in the subspace")
-    return coords
-
-
-def _subrep(rep: FramedRep, node: SubmoduleNode) -> FramedRep:
-    field = rep.field
-    order = _vertex_order(rep)
-    basis = {v: node.bases[k] for k, v in enumerate(order)}
-    dims = DimVector(node.dims.r, node.dims.v)
-    matrices = {}
-    for a in rep.quiver.arrows:
-        rows_t = basis[a.tail]
-        rows_h = basis[a.head]
-        cols = []
-        for row in rows_t:
-            image = mat_vec(field, rep.matrix(a.label), row)
-            cols.append(
-                _coords_in_rref(field, rows_h, image) if rows_h else ()
-            )
-        matrices[a.label] = tuple(
-            tuple(col[i] for col in cols) for i in range(len(rows_h))
-        )
-    return FramedRep(rep.quiver, field, dims, matrices)
-
-
-def _quotient_rep(rep: FramedRep, node: SubmoduleNode):
-    """Quotient representation and the per-vertex complement coordinates."""
-    field = rep.field
-    order = _vertex_order(rep)
-    basis = {v: node.bases[k] for k, v in enumerate(order)}
-    from .fieldops import reduce_against
-
-    complements = {}
-    for v in order:
-        rows = basis[v]
-        pivots = [next(j for j, x in enumerate(row) if not field.is_zero(x)) for row in rows]
-        complements[v] = (
-            [j for j in range(rep.dims.at(v)) if j not in set(pivots)],
-            rows,
-            pivots,
-        )
-
-    def project(v, vec):
-        free, rows, pivots = complements[v]
-        residue = reduce_against(field, list(rows), pivots, vec)
-        return tuple(residue[j] for j in free)
-
-    r = rep.dims.r - node.dims.r
-    vq = tuple(
-        rep.dims.v[i] - node.dims.v[i] for i in rep.quiver.rs.vertices
-    )
-    dims = DimVector(r, vq)
-    matrices = {}
-    for a in rep.quiver.arrows:
-        free_t = complements[a.tail][0]
-        cols = []
-        for j in free_t:
-            unit = tuple(
-                field.one if k == j else field.zero
-                for k in range(rep.dims.at(a.tail))
-            )
-            image = mat_vec(field, rep.matrix(a.label), unit)
-            cols.append(project(a.head, image))
-        m = dims.at(a.head)
-        matrices[a.label] = tuple(
-            tuple(col[i] for col in cols) for i in range(m)
-        )
-    return FramedRep(rep.quiver, field, dims, matrices)
+    return _sig_dims(_signature(rep, span)) == rep.dims
 
 
 # -- Harder-Narasimhan --------------------------------------------------------
@@ -344,62 +285,87 @@ def _slope(theta: StabilityVector, dims: DimVector) -> Fraction:
     return Fraction(-pair_dim(theta, dims)) / dims.total()
 
 
-def _max_destabilizer(lattice: SubmoduleLattice, theta: StabilityVector):
+def _quotient_dims(big: SubmoduleNode, small: SubmoduleNode) -> DimVector:
+    return DimVector(big.dims.r - small.dims.r, tuple(b - s for b, s in zip(big.dims.v, small.dims.v)))
+
+
+def _interval(lattice: SubmoduleLattice, lo: int, hi: int):
+    """Indices of the nodes W with node lo properly inside W inside node hi."""
+    masks = lattice.masks
+    return [
+        j for j in range(lo + 1, hi + 1)
+        if not masks[lo] & ~masks[j] and not masks[j] & ~masks[hi]
+    ]
+
+
+def _max_destabilizer(lattice: SubmoduleLattice, slope, base: int = 0) -> int:
+    """Index of the maximal destabilizing W above node ``base``, scored on W/base.
+
+    ``slope`` maps a dimension vector to its slope.  The submodule of
+    maximal slope and, among those, maximal dimension is unique, so the
+    last key entry only orders nodes that cannot tie.
+    """
+    nodes = lattice.nodes
     best = None
     best_key = None
-    for node in lattice.nodes:
-        total = node.dims.total()
-        if total == 0:
-            continue
-        key = (_slope(theta, node.dims), total, tuple(-x for x in node.dims.key()))
+    for j in _interval(lattice, base, len(nodes) - 1):
+        dims = _quotient_dims(nodes[j], nodes[base])
+        key = (slope(dims), dims.total(), tuple(-x for x in dims.key()))
         if best_key is None or key > best_key:
-            best, best_key = node, key
+            best, best_key = j, key
     return best
 
 
-def _jh_dims(rep: FramedRep, theta: StabilityVector, slope: Fraction, dim_caps):
-    """Dimension vectors of the stable factors of a semistable module."""
+def _jordan_holder(lattice: SubmoduleLattice, slope, lo: int, hi: int, layer_slope):
+    """Sorted dimension vectors of the stable factors of the semistable hi/lo.
+
+    Each step takes the smallest node over the current base whose quotient
+    has the layer's slope; that quotient is stable, and the multiset of
+    stable factors does not depend on the choice (Jordan-Hoelder).
+    """
+    nodes = lattice.nodes
     out = []
-    current = rep
-    while current.dims.total() > 0:
-        lattice = submodule_lattice(current, dim_caps=dim_caps)
-        candidates = [
-            node
-            for node in lattice.nodes
-            if node.dims.total() > 0 and _slope(theta, node.dims) == slope
-        ]
-        node = min(
-            candidates, key=lambda n: (n.dims.total(), n.dims.key(), n.bases)
+    while lo != hi:
+        # nodes are in (total, dims) order, so the first match is minimal
+        lo_next = next(
+            j for j in _interval(lattice, lo, hi)
+            if slope(_quotient_dims(nodes[j], nodes[lo])) == layer_slope
         )
-        out.append(node.dims.key())
-        current = _quotient_rep(current, node)
+        out.append(_quotient_dims(nodes[lo_next], nodes[lo]).key())
+        lo = lo_next
     return tuple(sorted(out))
 
 
 def hn_filtration(rep: FramedRep, theta: StabilityVector, dim_caps=None) -> HNFiltration:
     """Harder-Narasimhan filtration by repeated maximal destabilization.
 
-    Each step takes the submodule of maximal slope (negated pairing over
-    total dimension), largest total dimension among ties, and recurses on
-    the quotient, so slopes come out strictly decreasing and a stable
-    module is a single layer.  Layers carry the dimension multiset of
-    their stable factors.
+    Each step takes, over the current base U, the submodule W whose
+    quotient W/U has maximal slope (negated pairing over total dimension),
+    largest total dimension among ties, so slopes come out strictly
+    decreasing and a stable module is a single layer.  Layers carry the
+    dimension multiset of their stable factors.  All steps walk intervals
+    of one submodule lattice.
     """
+    if rep.dims.total() == 0:
+        return HNFiltration(layers=())
+    lattice = submodule_lattice(rep, dim_caps=dim_caps)
+    slope_of = cache(partial(_slope, theta))  # quotients of many nodes share dims
+    nodes = lattice.nodes
+    top = len(nodes) - 1  # the whole module: the only node of full dimension
     layers = []
-    current = rep
-    while current.dims.total() > 0:
-        lattice = submodule_lattice(current, dim_caps=dim_caps)
-        node = _max_destabilizer(lattice, theta)
-        slope = _slope(theta, node.dims)
-        sub = _subrep(current, node)
+    base = 0  # the zero submodule
+    while base != top:
+        step = _max_destabilizer(lattice, slope_of, base)
+        dims = _quotient_dims(nodes[step], nodes[base])
+        slope = slope_of(dims)
         layers.append(
             HNLayer(
-                dims=node.dims,
+                dims=dims,
                 slope=slope,
-                jh_dims=_jh_dims(sub, theta, slope, dim_caps),
+                jh_dims=_jordan_holder(lattice, slope_of, base, step, slope),
             )
         )
-        current = _quotient_rep(current, node)
+        base = step
     return HNFiltration(layers=tuple(layers))
 
 

@@ -160,6 +160,8 @@ def craw_wye_theta(rs: RootSystem, J, n: int) -> StabilityVector:
     the vertex-0 entry is solved from theta(delta) = h.  The result always
     lies in the chamber C_K for K the complement of J.
     """
+    if n < 1:
+        raise BadSubset("n must be positive")
     J = frozenset(J)
     if 0 not in J:
         raise BadSubset("J must contain vertex 0")

@@ -185,3 +185,39 @@ def test_malformed_documents(tmp_path, capsys):
     code, _, err = run(capsys, "rep", "check", "--rep", str(missing))
     assert code == 1
     assert err.startswith("DocumentError")
+
+
+def _fp_doc_with_entry(entry):
+    return {
+        "type": "A1", "n": 1, "field": "Fp", "p": 3,
+        "dims": {"inf": 1, "0": 1, "1": 1},
+        "matrices": {"b": [[entry]]},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["rep", "orbit-sum", "--type", "A1", "--points", "1,0", "--field", "F4"], "UnsupportedField"),
+        (["rep", "orbit-sum", "--type", "A1", "--points", "1/0,1"], "DocumentError"),
+        (["rep", "check", "--rep", "{rep}"], "NonIntegralEntry"),
+        (["stab", "report", "--rep", "{rep}", "--theta", "{theta}"], "NonIntegralEntry"),
+        (["cone", "check", "--theta", "{bad_theta}", "--cone", "F"], "DocumentError"),
+        (["theta", "craw-wye", "--type", "A2", "-n", "0", "--J", "0"], "BadSubset"),
+    ],
+    ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
+         "zero-denominator-theta", "craw-wye-n0"],
+)
+def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(_fp_doc_with_entry("1/3")))  # 3 divides the denominator
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"type": "A1", "n": 1, "entries": {"0": "1", "1": "1"}}))
+    bad_theta = tmp_path / "bad_theta.json"
+    bad_theta.write_text(json.dumps({"type": "A1", "n": 1, "entries": {"0": "1/0", "1": "1"}}))
+    paths = {"rep": rep, "theta": theta, "bad_theta": bad_theta}
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(error + ": ") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Submodule lattices, stability verdicts, HN filtrations, tangent spaces."""
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -33,7 +34,8 @@ from quiverstab.errors import (
     UnsupportedField,
 )
 from quiverstab.fieldops import PrimeField, QQ, mat_vec
-from quiverstab.stabcheck import _subrep, _vertex_order
+from quiverstab.stabcheck import _vertex_order
+from reference_lattice import _subrep
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -365,7 +367,7 @@ def test_hn_first_layer_is_slope_semistable_in_isolation():
     for label, type_label, n, rep in build_corpus(8):
         theta = craw_wye_theta(rep.quiver.rs, {0}, n)
         lattice = submodule_lattice(rep)
-        node = _max_destabilizer(lattice, theta)
+        node = lattice.nodes[_max_destabilizer(lattice, partial(_slope, theta))]
         sub = _subrep(rep, node)
         layer_slope = _slope(theta, node.dims)
         for inner in submodule_lattice(sub).nodes:

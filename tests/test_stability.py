@@ -84,6 +84,12 @@ def test_craw_wye_bad_subset(rs_a2):
         craw_wye_theta(rs_a2, {0, 9}, 1)
 
 
+def test_craw_wye_refuses_nonpositive_n(rs_a2):
+    for n in (0, -1):
+        with pytest.raises(BadSubset):
+            craw_wye_theta(rs_a2, {0}, n)
+
+
 def _all_J(rs):
     rest = [i for i in rs.vertices if i != 0]
     for mask in range(1 << len(rest)):
