@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainError
 from .fieldops import PrimeField, QQ
@@ -21,7 +22,6 @@ from .quiverrep import (
     FramedRep,
     framed_orbit_sum,
     framed_quiver,
-    is_pi_bar_module,
     moment_defect,
 )
 from .rootsys import DynkinType, build_root_system
@@ -301,7 +301,10 @@ def _cmd_rep_check(args) -> int:
             print("  (empty)")
         for row in mat:
             print("  " + " ".join(str(x) for x in row))
-    print(f"module {str(is_pi_bar_module(rep)).lower()}")
+    # a module is a representation whose relation defect vanishes
+    field = rep.field
+    module = all(field.is_zero(x) for mat in defect.values() for row in mat for x in row)
+    print(f"module {str(module).lower()}")
     return 0
 
 
@@ -352,7 +355,13 @@ def _cmd_stab_tangent(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call.
+
+    Parsing does not change the parser (each call fills a fresh namespace),
+    so one instance serves all calls in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="quiverstab",
         description="Exact chamber combinatorics and module stability checks "

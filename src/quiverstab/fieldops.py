@@ -136,20 +136,10 @@ def mat_coerce(field, rows):
     return tuple(tuple(field.coerce(x) for x in row) for row in rows)
 
 
-def mat_add(field, a, b):
-    return tuple(
-        tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_sub(field, a, b):
     return tuple(
         tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
-
-
-def mat_neg(field, a):
-    return tuple(tuple(field.neg(x) for x in row) for row in a)
 
 
 def mat_mul(field, a, b):
@@ -176,10 +166,6 @@ def mat_vec(field, a, v):
             s = field.add(s, field.mul(x, y))
         out.append(s)
     return tuple(out)
-
-
-def is_zero_matrix(field, a) -> bool:
-    return all(field.is_zero(x) for row in a for x in row)
 
 
 def trace(field, a):

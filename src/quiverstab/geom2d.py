@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 
+from .errors import DegeneratePlane
+
 
 def line_through(p, q):
     (x1, y1), (x2, y2) = p, q
@@ -94,11 +96,12 @@ def arrangement_cells(lines, window):
 
     ``lines`` may contain duplicates (they are deduplicated by normalized
     coefficients).  Cells are returned in a deterministic order, each cycle
-    rotated so its lexicographically smallest vertex comes first.
+    rotated so its lexicographically smallest vertex comes first.  A
+    window without positive extent raises :class:`DegeneratePlane`.
     """
     xmin, xmax, ymin, ymax = window
     if not (xmin < xmax and ymin < ymax):
-        raise ValueError("window must have positive extent")
+        raise DegeneratePlane("window must have positive extent")
 
     corners = [
         (Fraction(xmin), Fraction(ymin)),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import InvalidRank, MismatchedRootSystem
 from . import fieldops
@@ -131,8 +132,13 @@ def _simple_reflection_closure(cartan, rank: int):
     return tuple(sorted(found))
 
 
+@cache
 def build_root_system(dynkin: DynkinType) -> RootSystem:
-    """Construct the full finite + affine Cartan data for one ADE type."""
+    """Construct the full finite + affine Cartan data for one ADE type.
+
+    Memoised: the type is frozen and the result is a frozen record of
+    tuples, so every call with an equal type returns the same instance.
+    """
     rank = dynkin.rank
     cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for a, b in _finite_edges(dynkin):

@@ -41,7 +41,7 @@ from .fieldops import (
     reduce_against,
     rref,
 )
-from .quiverrep import DimVector, FramedRep, INF, is_pi_bar_module, moment_defect
+from .quiverrep import DimVector, FramedRep, INF, is_pi_bar_module
 from .stability import StabilityVector, pair_dim
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
@@ -371,13 +371,41 @@ def hn_filtration(rep: FramedRep, theta: StabilityVector, dim_caps=None) -> HNFi
 
 # -- tangent space ------------------------------------------------------------
 
-def _defect_flat(rep: FramedRep):
-    defect = moment_defect(rep)
-    flat = []
-    for i in rep.quiver.rs.vertices:
-        for row in defect[i]:
-            flat.extend(row)
-    return flat
+def _relation_jacobian(rep: FramedRep):
+    """Columns of the relation linearisation, one per arrow entry.
+
+    Columns run over the arrows in quiver order and, within an arrow, over
+    its entries (i, j) in row-major order; each column lists the relation
+    values at the affine vertices in order, every vertex row-major.  The
+    relations are quadratic: along the unit bump E at entry (i, j) of an
+    original arrow x with partner y, the relation at the head moves by E y
+    (row i is row j of y) and the one at the tail by -y E (column j is
+    minus column i of y).  A reverse arrow enters every relation with the
+    opposite sign, so its column is the negation of the same pattern.
+    """
+    field = rep.field
+    offsets = {}
+    size = 0
+    for vertex in rep.quiver.rs.vertices:
+        offsets[vertex] = size
+        size += rep.dims.v[vertex] ** 2
+    columns = []
+    for a in rep.quiver.arrows:
+        y = rep.matrix(a.partner)
+        m, n = rep.dims.at(a.head), rep.dims.at(a.tail)
+        for i in range(m):
+            for j in range(n):
+                col = [field.zero] * size
+                if a.head != INF:
+                    at = offsets[a.head] + i * m
+                    col[at:at + m] = y[j]
+                if a.tail != INF:
+                    for r in range(n):
+                        col[offsets[a.tail] + r * n + j] = field.neg(y[r][i])
+                if not a.original:
+                    col = [field.neg(x) for x in col]
+                columns.append(tuple(col))
+    return columns
 
 
 def tangent_dimension(rep: FramedRep) -> int:
@@ -385,7 +413,9 @@ def tangent_dimension(rep: FramedRep) -> int:
 
     Computes dim ker(relation linearization) minus the gauge dimension at
     the affine vertices plus the dimension of the joint stabilizer, all by
-    exact rational elimination.
+    exact rational elimination.  The linearization is written in closed
+    form from the partner matrices (:func:`_relation_jacobian`), the same
+    way the gauge action is.
     """
     if not isinstance(rep.field, Rationals):
         raise UnsupportedField("tangent computation runs over the rationals")
@@ -393,40 +423,7 @@ def tangent_dimension(rep: FramedRep) -> int:
         raise NotAModule("relations do not vanish at this representation")
     field = rep.field
 
-    labels = [a.label for a in rep.quiver.arrows]
-    shapes = {
-        a.label: (rep.dims.at(a.head), rep.dims.at(a.tail))
-        for a in rep.quiver.arrows
-    }
-    base_flat = _defect_flat(rep)
-
-    zeroed = FramedRep(rep.quiver, field, rep.dims, {})
-    columns = []
-    for label in labels:
-        m, n = shapes[label]
-        for i in range(m):
-            for j in range(n):
-                single = tuple(
-                    tuple(
-                        field.one if (r_, c_) == (i, j) else field.zero
-                        for c_ in range(n)
-                    )
-                    for r_ in range(m)
-                )
-                bumped = [list(row) for row in rep.matrix(label)]
-                bumped[i][j] = field.add(bumped[i][j], field.one)
-                plus = rep.with_matrix(label, tuple(tuple(r) for r in bumped))
-                pure = zeroed.with_matrix(label, single)
-                # the relations are quadratic, so this difference is exactly
-                # the directional derivative along the single-entry bump
-                f_plus = _defect_flat(plus)
-                f_pure = _defect_flat(pure)
-                columns.append(
-                    tuple(
-                        field.sub(field.sub(p, b), q)
-                        for p, b, q in zip(f_plus, base_flat, f_pure)
-                    )
-                )
+    columns = _relation_jacobian(rep)
     arrow_dim = len(columns)
     dmu_rank = rank(field, tuple(zip(*columns))) if columns else 0
 
@@ -438,7 +435,7 @@ def tangent_dimension(rep: FramedRep) -> int:
             for j in range(d):
                 col = []
                 for a in rep.quiver.arrows:
-                    m, n = shapes[a.label]
+                    m, n = rep.dims.at(a.head), rep.dims.at(a.tail)
                     x = rep.matrix(a.label)
                     block = [[field.zero] * n for _ in range(m)]
                     if a.head == vertex:

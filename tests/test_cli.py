@@ -6,6 +6,7 @@ import pytest
 
 from quiverstab import craw_wye_theta, framed_orbit_sum
 from quiverstab.cli import (
+    build_parser,
     main,
     rep_from_doc,
     rep_to_doc,
@@ -149,6 +150,25 @@ def test_domain_error_exit_code_and_name(capsys):
     assert err.startswith("NoIsomorphism")
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    svg = str(tmp_path / "slice.svg")
+    slice_argv = ["walls", "slice", "--type", "A2", "-n", "3", "--out", svg]
+    _, default_out, _ = run(capsys, *slice_argv)
+    _, labelled_out, _ = run(capsys, *slice_argv, "--label", "C+:C:1,2")
+    code, again, _ = run(capsys, *slice_argv)
+    assert "C+" in labelled_out
+    assert code == 0 and again == default_out != labelled_out
+    assert "C[1,2]" in again and "C+" not in again
+    theta_file = tmp_path / "zero.json"
+    theta_file.write_text(json.dumps({
+        "type": "A2", "n": 1, "entries": {"0": "0", "1": "0", "2": "0"}
+    }))
+    check = ["cone", "check", "--theta", str(theta_file), "--cone", "C", "--K", "2"]
+    assert run(capsys, *check, "--closed") == (0, "true\n", "")
+    assert run(capsys, *check) == (0, "false\n", "")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["walls", "build", "--type", "A2"])  # missing -n
@@ -204,9 +224,11 @@ def _fp_doc_with_entry(entry):
         (["stab", "report", "--rep", "{rep}", "--theta", "{theta}"], "NonIntegralEntry"),
         (["cone", "check", "--theta", "{bad_theta}", "--cone", "F"], "DocumentError"),
         (["theta", "craw-wye", "--type", "A2", "-n", "0", "--J", "0"], "BadSubset"),
+        (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}",
+          "--plane", "base=0,0;d1=1,0;d2=0,1;window=0,0,0,1"], "DegeneratePlane"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
-         "zero-denominator-theta", "craw-wye-n0"],
+         "zero-denominator-theta", "craw-wye-n0", "zero-extent-window"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     rep = tmp_path / "rep.json"
@@ -215,7 +237,7 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     theta.write_text(json.dumps({"type": "A1", "n": 1, "entries": {"0": "1", "1": "1"}}))
     bad_theta = tmp_path / "bad_theta.json"
     bad_theta.write_text(json.dumps({"type": "A1", "n": 1, "entries": {"0": "1/0", "1": "1"}}))
-    paths = {"rep": rep, "theta": theta, "bad_theta": bad_theta}
+    paths = {"rep": rep, "theta": theta, "bad_theta": bad_theta, "svg": tmp_path / "x.svg"}
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert code == 1
     assert out == ""
