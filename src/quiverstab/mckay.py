@@ -1,27 +1,37 @@
 """Finite subgroups of SL(2, C), their character tables, and McKay graphs.
 
 Groups are enumerated as explicit 2x2 complex matrices generated from
-fixed generator sets (floating point with ~15 significant digits; every
-final integer output is recovered by rounding with a 1e-6 guard).
-Character tables are computed from the class algebra: the class-sum
-structure constants are exact integers, and the common eigenvectors of
-the class-multiplication matrices give the central characters, hence the
-irreducible characters after integrality normalization.
+fixed generator sets (floating point with ~15 significant digits;
+elements are told apart by rounding to nine digits, with a 1e-6 guard).
+Everything after enumeration is exact integer arithmetic.  The right
+action of each generator, read off once in floats, gives an integer
+Cayley table; conjugacy classes, inverses, power maps and the class-sum
+structure constants come from that table.
+
+The character table is computed over a prime field F_q with q = 1 mod
+the group exponent and q > 2 sqrt|G| (Dixon 1967, Schneider 1990): the
+common eigenvectors of the integer class matrices over F_q are the
+central characters mod q, found by splitting eigenspaces at the roots of
+characteristic polynomials.  The norm equation gives each irrep
+dimension, and each character value is lifted to C through the power
+maps: the multiplicity of every root of unity among the eigenvalues of
+rho(g) is a discrete Fourier transform mod q, read exactly because it
+lies in [0, dim].  McKay multiplicities are read mod q the same way.
+There is no float eigenproblem.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidRank, NoIsomorphism, RoundingFailure
+from .fieldops import PrimeField, _is_prime, nullspace, rref
 from .rootsys import DynkinType, RootSystem
 
 _KEY_DIGITS = 9
-_MATCH_TOL = 1e-9
 _INT_TOL = 1e-6
 
 _FAMILIES = (
@@ -82,10 +92,13 @@ class GroupSpec:
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
         text = text.strip()
-        if text.lower().startswith("cyclic:"):
-            return cls("cyclic", int(text.split(":", 1)[1]))
-        if text.lower().startswith("bd:"):
-            return cls("binary_dihedral", int(text.split(":", 1)[1]))
+        for prefix, family in (("cyclic:", "cyclic"), ("bd:", "binary_dihedral")):
+            if text.lower().startswith(prefix):
+                try:
+                    m = int(text[len(prefix):])
+                except ValueError:
+                    raise InvalidRank(f"cannot parse group spec {text!r}") from None
+                return cls(family, m)
         named = {
             "2t": "binary_tetrahedral",
             "2o": "binary_octahedral",
@@ -105,16 +118,13 @@ def _mat_mul(x, y):
     )
 
 
-def _mat_inv(x):
-    # determinant one throughout, so the adjugate is the inverse
-    return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
-
-
 def _key(x):
-    return tuple(
-        (round(v.real, _KEY_DIGITS), round(v.imag, _KEY_DIGITS))
-        for row in x
-        for v in row
+    (a, b), (c, d) = x
+    return (
+        round(a.real, _KEY_DIGITS), round(a.imag, _KEY_DIGITS),
+        round(b.real, _KEY_DIGITS), round(b.imag, _KEY_DIGITS),
+        round(c.real, _KEY_DIGITS), round(c.imag, _KEY_DIGITS),
+        round(d.real, _KEY_DIGITS), round(d.imag, _KEY_DIGITS),
     )
 
 
@@ -164,7 +174,7 @@ def _enumerate_group(spec: GroupSpec):
         boundary = fresh
         if len(seen) > 4 * spec.order():
             raise RoundingFailure("group closure did not terminate at the expected order")
-    elements = sorted(seen.values(), key=_key)
+    elements = [seen[k] for k in sorted(seen)]
     if len(elements) != spec.order():
         raise RoundingFailure(
             f"enumerated {len(elements)} elements, expected {spec.order()}"
@@ -174,116 +184,328 @@ def _enumerate_group(spec: GroupSpec):
         if abs(det - 1) > _INT_TOL:
             raise RoundingFailure("generator table produced a non-SL(2) element")
         for other in elements[idx + 1 :]:
+            # sorted by _key, which leads with this entry rounded: no later
+            # element can be close once it is this far away
+            if other[0][0].real > g[0][0].real + 2 * _INT_TOL:
+                break
             if _close(g, other, _INT_TOL):
                 raise RoundingFailure("two enumerated elements are numerically equal")
     return elements
 
 
-def _conjugacy_classes(elements):
+# -- exact group tables -------------------------------------------------------
+
+def _group_tables(spec: GroupSpec, elements):
+    """Integer Cayley table, inverses, and the indices of 1 and the generators.
+
+    ``mul[i][j]`` is the index of ``elements[i] @ elements[j]``.  Only the
+    right action of each generator is computed in floats (|G| * |gens|
+    products).  A breadth-first search from 1 writes each element j as
+    elements[p] @ s for an element p found before it and a generator s, so
+    column j of the table is column p pushed through the action of s:
+    x @ elements[j] = (x @ elements[p]) @ s.
+    """
     index_of = {_key(g): i for i, g in enumerate(elements)}
-    unassigned = set(range(len(elements)))
+
+    def index(x):
+        try:
+            return index_of[_key(x)]
+        except KeyError:
+            raise RoundingFailure("a product left the enumerated group") from None
+
+    gens = _generators(spec)
+    actions = [[index(_mat_mul(g, s)) for g in elements] for s in gens]
+    if any(len(set(act)) != len(elements) for act in actions):
+        raise RoundingFailure("a generator's action on the group is not a permutation")
+    one = index(((1, 0), (0, 1)))
+    columns = [None] * len(elements)
+    columns[one] = list(range(len(elements)))
+    frontier = [one]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for act in actions:
+                j = act[p]
+                if columns[j] is None:
+                    columns[j] = [act[x] for x in columns[p]]
+                    fresh.append(j)
+        frontier = fresh
+    if None in columns:
+        raise RoundingFailure("the generators do not reach every element")
+    mul = tuple(zip(*columns))
+    inv = tuple(col.index(one) for col in columns)
+    return mul, inv, one, tuple(index(s) for s in gens)
+
+
+def _conjugacy_classes(mul, inv, one, gens):
+    """Classes as sorted index tuples: the identity first, then by size.
+
+    A class is an orbit under conjugation by the generators.  Element
+    indices follow the ``_key`` order of the elements, so ties in size go
+    to the class whose least element has the least key.
+    """
+    unassigned = set(range(len(mul)))
     classes = []
     while unassigned:
-        seed = min(unassigned, key=lambda i: _key(elements[i]))
+        seed = min(unassigned)
         orbit = {seed}
         work = [seed]
         while work:
-            i = work.pop()
-            for h in elements:
-                c = _mat_mul(_mat_mul(h, elements[i]), _mat_inv(h))
-                j = index_of[_key(c)]
-                if j not in orbit:
-                    orbit.add(j)
-                    work.append(j)
+            x = work.pop()
+            for s in gens:
+                y = mul[mul[s][x]][inv[s]]
+                if y not in orbit:
+                    orbit.add(y)
+                    work.append(y)
         classes.append(tuple(sorted(orbit)))
         unassigned -= orbit
-    identity = ((1, 0), (0, 1))
-    classes.sort(
-        key=lambda cls: (
-            not _close(elements[cls[0]], identity, _MATCH_TOL),
-            len(cls),
-            _key(elements[cls[0]]),
-        )
-    )
+    classes.sort(key=lambda cls: (cls[0] != one, len(cls), cls[0]))
     return tuple(classes)
 
 
-def _class_structure_constants(elements, classes):
-    index_of = {_key(g): i for i, g in enumerate(elements)}
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for i in cls:
-            class_of[i] = ci
+def _class_structure_constants(mul, classes, class_of):
+    """``a[i][j][k]``: the pairs (x, y) in C_i x C_j with x y = z, for z in C_k."""
     r = len(classes)
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for ci, ca in enumerate(classes):
-        for cj, cb in enumerate(classes):
+    sizes = [len(c) for c in classes]
+    a = []
+    for ca in classes:
+        plane = []
+        for cb in classes:
             count = [0] * r
-            for i in ca:
-                for j in cb:
-                    z = _mat_mul(elements[i], elements[j])
-                    count[class_of[index_of[_key(z)]]] += 1
+            for x in ca:
+                row = mul[x]
+                for y in cb:
+                    count[class_of[row[y]]] += 1
+            line = []
             for ck in range(r):
-                size = len(classes[ck])
-                if count[ck] % size != 0:
+                if count[ck] % sizes[ck] != 0:
                     raise RoundingFailure("class algebra structure constants are inconsistent")
-                a[ci][cj][ck] = count[ck] // size
+                line.append(count[ck] // sizes[ck])
+            plane.append(line)
+        a.append(plane)
     return a
 
 
-def _character_table(spec, elements, classes):
-    """Irreducible characters as a (class x irrep) float-complex table."""
-    order = len(elements)
+# -- eigenvalues over F_q -----------------------------------------------------
+
+def _charpoly(mat, q):
+    """Characteristic polynomial of a square matrix over F_q.
+
+    Reduces to upper Hessenberg form by similarity, then runs the
+    three-term recurrence over its leading principal minors (Cohen, A
+    Course in Computational Algebraic Number Theory, Algorithm 2.2.9).
+    """
+    n = len(mat)
+    h = [list(row) for row in mat]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        pivot_inv = pow(h[m][m - 1], -1, q)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * pivot_inv % q
+            if u:
+                h[i] = [(x - u * y) % q for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % q
+    minors = [[1]]
+    for m in range(1, n + 1):
+        p = [0] + minors[m - 1]
+        for k, c in enumerate(minors[m - 1]):
+            p[k] -= h[m - 1][m - 1] * c
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * h[i][i - 1] % q
+            coef = t * h[i - 1][m - 1]
+            for k, c in enumerate(minors[i - 1]):
+                p[k] -= coef * c
+        minors.append([x % q for x in p])
+    return minors[n]
+
+
+def _roots(f, q):
+    """The roots in F_q of f, given by its coefficients from the constant term up."""
+    roots = []
+    for lam in range(q):
+        value = 0
+        for c in reversed(f):
+            value = (value * lam + c) % q
+        if value == 0:
+            roots.append(lam)
+    return roots
+
+
+# -- the character table over F_q ---------------------------------------------
+
+def _splitting_prime(exponent, order):
+    """The least prime q = 1 mod the exponent with q > 2 sqrt|G|, and a root.
+
+    F_q then holds every character value of G (through a primitive
+    exponent-th root of unity zeta, which stands for exp(2 pi i / exponent)),
+    and every integer in [0, sqrt|G|] is told apart from its negative mod q.
+    """
+    q = exponent + 1
+    while q * q <= 4 * order or not _is_prime(q):
+        q += exponent
+    primes = [p for p in range(2, exponent + 1) if exponent % p == 0 and _is_prime(p)]
+    for a in range(2, q):
+        zeta = pow(a, (q - 1) // exponent, q)
+        if all(pow(zeta, exponent // p, q) != 1 for p in primes):
+            return q, zeta
+    raise RoundingFailure(f"F_{q} has no primitive {exponent}-th root of unity")
+
+
+def _central_characters(structure, q):
+    """Common eigenvectors (omega_k) of the class matrices over F_q, omega_0 = 1.
+
+    The class matrices commute, so every joint eigenspace found so far is
+    invariant under the next matrix; its eigenspaces inside the subspace
+    come from the matrix restricted to the subspace, whose coordinates in
+    an rref basis are the entries at the pivot columns.
+    """
+    field = PrimeField(q)
+    r = len(structure)
+    spaces = [rref(field, [[int(i == j) for j in range(r)] for i in range(r)])]
+    for ci in range(1, r):
+        if len(spaces) == r:
+            break
+        mat = structure[ci]
+        split = []
+        for basis, pivots in spaces:
+            if len(basis) == 1:
+                split.append((basis, pivots))
+                continue
+            restricted = [
+                [sum(x * y for x, y in zip(mat[p], b)) % q for b in basis] for p in pivots
+            ]
+            for lam in _roots(_charpoly(restricted, q), q):
+                shifted = [
+                    [(x - lam) % q if u == t else x for t, x in enumerate(row)]
+                    for u, row in enumerate(restricted)
+                ]
+                split.append(rref(field, [
+                    [sum(c * b[k] for c, b in zip(coords, basis)) % q for k in range(r)]
+                    for coords in nullspace(field, shifted, len(basis))
+                ]))
+        spaces = split
+    if len(spaces) != r or any(pivots != (0,) for _, pivots in spaces):
+        raise RoundingFailure(f"the class matrices do not split into {r} eigenlines over F_{q}")
+    return [basis[0] for basis, _ in spaces]
+
+
+def _natural_character(g, o, zeta, exponent, q):
+    """tr(g) mod q, for g of order o with eigenvalues exp(+-2 pi i a / o)."""
+    tr = (g[0][0] + g[1][1]).real
+    a = round(math.acos(max(-1.0, min(1.0, tr / 2))) * o / (2 * math.pi))
+    if abs(2 * math.cos(2 * math.pi * a / o) - tr) > _INT_TOL:
+        raise RoundingFailure("an element's trace is not 2 cos(2 pi a / o)")
+    z = pow(zeta, exponent // o, q)
+    return (pow(z, a, q) + pow(z, -a, q)) % q
+
+
+def _power_classes(mul, one, classes, class_of):
+    """``powers[k][t]``: the class of g^t for g the first element of C_k.
+
+    Each list runs over one period, so its length is the order of g.
+    """
+    powers = []
+    for cls in classes:
+        seq, x = [], one
+        while True:
+            seq.append(class_of[x])
+            x = mul[x][cls[0]]
+            if x == one:
+                break
+        powers.append(seq)
+    return powers
+
+
+def _lift(psi, d, powers, dft, q):
+    """A character mod q, of dimension d, as complex values on the classes.
+
+    rho(g) has eigenvalues exp(2 pi i j / o) for g of order o; the
+    multiplicity of each is (1/o) sum_t chi(g^t) zeta_o^(-j t), computed mod
+    q, and lies in [0, d] < q, so the residue is the multiplicity itself.
+    """
+    chi = []
+    for k, seq in enumerate(powers):
+        twiddles, roots, o_inv = dft[len(seq)]
+        values = [psi[c] for c in seq]
+        mult = [sum(map(operator.mul, row, values)) * o_inv % q for row in twiddles]
+        if sum(mult) != d:
+            raise RoundingFailure("eigenvalue multiplicities do not add up to the dimension")
+        chi.append(sum(m * root for m, root in zip(mult, roots)))
+    return chi
+
+
+def _character_table(elements, mul, inv, one, classes):
+    """Characters (class x irrep, complex), irrep dimensions, McKay adjacency.
+
+    Irrep 0 is trivial; the rest are sorted by dimension, then by their
+    rounded character values.  Only the lifted values are floats.
+    """
+    order = len(mul)
     r = len(classes)
     sizes = [len(c) for c in classes]
-    structure = _class_structure_constants(elements, classes)
-    mats = [np.array(structure[i], dtype=float) for i in range(r)]
+    class_of = [0] * order
+    for ci, cls in enumerate(classes):
+        for i in cls:
+            class_of[i] = ci
+    powers = _power_classes(mul, one, classes, class_of)
+    exponent = math.lcm(*(len(seq) for seq in powers))
+    q, zeta = _splitting_prime(exponent, order)
+    star = [class_of[inv[cls[0]]] for cls in classes]
+    size_inv = [pow(s, -1, q) for s in sizes]
+    dft = {}  # element order o -> (zeta_o^(-j t), exp(2 pi i j / o), 1 / o)
+    for o in {len(seq) for seq in powers}:
+        z = pow(zeta, exponent // o, q)
+        dft[o] = (
+            [[pow(z, -j * t % o, q) for t in range(o)] for j in range(o)],
+            [cmath.exp(2j * math.pi * j / o) for j in range(o)],
+            pow(o, -1, q),
+        )
 
-    chars = None
-    for attempt in range(8):
-        rng = np.random.default_rng(2024 + attempt)
-        coeffs = rng.standard_normal(r)
-        combined = sum(c * m for c, m in zip(coeffs, mats))
-        eigvals, eigvecs = np.linalg.eig(combined)
-        gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(r)
-        if gaps.min() < 1e-7:
-            continue
-        columns = []
-        for idx in range(r):
-            u = eigvecs[:, idx]
-            u = u / u[0]  # identity class is first; central character is 1 there
-            norm = sum(abs(u[j]) ** 2 / sizes[j] for j in range(r))
-            dim = math.sqrt(order / norm)
-            if abs(dim - round(dim)) > _INT_TOL:
-                columns = None
-                break
-            chi = [dim * u[j] / sizes[j] for j in range(r)]
-            columns.append(tuple(chi))
-        if columns is not None:
-            chars = columns
-            break
-    if chars is None:
-        raise RoundingFailure("character eigenproblem did not separate")
+    irreps = []
+    structure = _class_structure_constants(mul, classes, class_of)
+    for omega in _central_characters(structure, q):
+        # norm equation: d^2 = |G| / sum_k omega_k omega_k* / |C_k| mod q; its
+        # roots are +-d and only one of them lies in [1, sqrt|G|] < q / 2
+        norm = sum(omega[k] * omega[star[k]] * size_inv[k] for k in range(r)) % q
+        d = next(
+            (d for d in range(1, math.isqrt(order) + 1) if d * d * norm % q == order % q),
+            None,
+        )
+        if d is None:
+            raise RoundingFailure("the norm equation has no integral dimension")
+        psi = [d * omega[k] * size_inv[k] % q for k in range(r)]
+        irreps.append((d, psi, _lift(psi, d, powers, dft, q)))
+    irreps.sort(key=lambda ir: (
+        not (ir[0] == 1 and all(v == 1 for v in ir[1])),
+        ir[0],
+        tuple((round(v.real, 6), round(v.imag, 6)) for v in ir[2]),
+    ))
 
-    def dim_of(col):
-        return int(round(col[0].real))
-
-    def is_trivial(col):
-        return all(abs(v - 1) < _INT_TOL for v in col)
-
-    trivial = [col for col in chars if is_trivial(col)]
-    if len(trivial) != 1:
-        raise RoundingFailure("could not locate the trivial character")
-    rest = sorted(
-        (col for col in chars if not is_trivial(col)),
-        key=lambda col: (
-            dim_of(col),
-            tuple((round(v.real, 6), round(v.imag, 6)) for v in col),
-        ),
-    )
-    ordered = trivial + rest
-    # table indexed class x irrep
-    return tuple(tuple(ordered[w][k] for w in range(r)) for k in range(r))
+    # <chi_i * std, chi_j> mod q, with std the character of the natural rep
+    std = [
+        _natural_character(elements[cls[0]], len(seq), zeta, exponent, q)
+        for cls, seq in zip(classes, powers)
+    ]
+    weights = [sizes[k] * std[k] * pow(order, -1, q) for k in range(r)]
+    adjacency = []
+    for _, psi_i, _ in irreps:
+        row = []
+        for _, psi_j, _ in irreps:
+            s = sum(weights[k] * psi_i[k] * psi_j[star[k]] for k in range(r)) % q
+            if s > 2:
+                raise RoundingFailure("tensor multiplicity is not in {0, 1, 2}")
+            row.append(s)
+        adjacency.append(tuple(row))
+    table = tuple(tuple(chi[k] for _, _, chi in irreps) for k in range(r))
+    return table, tuple(d for d, _, _ in irreps), tuple(adjacency)
 
 
 @dataclass(frozen=True)
@@ -309,44 +531,18 @@ class McKayData:
 def build_mckay(spec: GroupSpec) -> McKayData:
     """Enumerate the group and compute its McKay correspondence data."""
     elements = _enumerate_group(spec)
-    classes = _conjugacy_classes(elements)
-    sizes = [len(c) for c in classes]
-    order = len(elements)
-    table = _character_table(spec, elements, classes)
-    r = len(classes)
-
-    dims = []
-    for w in range(r):
-        d = table[0][w]
-        if abs(d.imag) > _INT_TOL or abs(d.real - round(d.real)) > _INT_TOL:
-            raise RoundingFailure("irrep dimension is not an integer")
-        dims.append(int(round(d.real)))
-    if sum(d * d for d in dims) != order:
+    mul, inv, one, gens = _group_tables(spec, elements)
+    classes = _conjugacy_classes(mul, inv, one, gens)
+    table, dims, adjacency = _character_table(elements, mul, inv, one, classes)
+    if sum(d * d for d in dims) != len(elements):
         raise RoundingFailure("sum of squared dimensions misses the group order")
-
-    std = [
-        elements[cls[0]][0][0] + elements[cls[0]][1][1] for cls in classes
-    ]
-    adjacency = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            s = sum(
-                sizes[k] * table[k][i] * std[k] * table[k][j].conjugate()
-                for k in range(r)
-            ) / order
-            if abs(s.imag) > _INT_TOL or abs(s.real - round(s.real)) > _INT_TOL:
-                raise RoundingFailure("tensor multiplicity is not an integer")
-            row.append(int(round(s.real)))
-        adjacency.append(tuple(row))
-
     return McKayData(
         spec=spec,
         elements=tuple(elements),
         conjugacy_classes=classes,
-        irrep_dims=tuple(dims),
+        irrep_dims=dims,
         characters=table,
-        adjacency=tuple(adjacency),
+        adjacency=adjacency,
     )
 
 
@@ -359,31 +555,45 @@ class CorrespondenceReport:
 
 
 def _isomorphisms(adj_a, adj_b):
-    """All vertex bijections with sigma(0) = 0 carrying adj_a onto adj_b."""
+    """All vertex bijections with sigma(0) = 0 carrying adj_a onto adj_b.
+
+    Vertices are placed breadth-first along the edges of adj_a (any vertex
+    left unreached comes last), and a vertex reached along an edge may only
+    go to a neighbour of its parent's image, so a cycle is walked instead of
+    searched.  The order in which bijections come out is unspecified.
+    """
     n = len(adj_a)
     if adj_a[0][0] != adj_b[0][0]:
         return
+    order, parent = [0], [None] * n
+    for u in order:  # grows while it is walked
+        for w in range(1, n):
+            if adj_a[u][w] and w not in order:
+                parent[w] = u
+                order.append(w)
+    order += [w for w in range(n) if w not in order]
     sigma = [0] + [-1] * (n - 1)
     used = [False] * n
     used[0] = True
 
-    def consistent(u, v):
+    def consistent(u, v, placed):
         if adj_a[u][u] != adj_b[v][v]:
             return False
-        for w in range(u):
-            if adj_a[u][w] != adj_b[v][sigma[w]]:
-                return False
-        return True
+        return all(adj_a[u][w] == adj_b[v][sigma[w]] for w in placed)
 
-    def rec(u):
-        if u == n:
+    def rec(depth):
+        if depth == n:
             yield tuple(sigma)
             return
+        u = order[depth]
+        p = parent[u]
         for v in range(1, n):
-            if not used[v] and consistent(u, v):
+            if used[v] or (p is not None and not adj_b[sigma[p]][v]):
+                continue
+            if consistent(u, v, order[:depth]):
                 sigma[u] = v
                 used[v] = True
-                yield from rec(u + 1)
+                yield from rec(depth + 1)
                 used[v] = False
                 sigma[u] = -1
 
@@ -395,7 +605,9 @@ def verify_correspondence(data: McKayData, rs: RootSystem) -> CorrespondenceRepo
 
     The matching fixes the trivial representation at the extending vertex 0
     and is found by adjacency-preserving search; it is canonical only up to
-    diagram automorphism, so the report carries the matching actually used.
+    diagram automorphism, so the report carries the matching actually used:
+    the lexicographically least matching that carries dimensions to delta,
+    or, when none does, the lexicographically greatest one.
     """
     n = len(rs.vertices)
     if len(data.irrep_dims) != n:
@@ -408,17 +620,17 @@ def verify_correspondence(data: McKayData, rs: RootSystem) -> CorrespondenceRepo
     )
     sum_squares_ok = sum(d * d for d in rs.delta) == data.order()
 
-    best = None
-    for sigma in _isomorphisms(data.adjacency, target):
-        dims_ok = all(
-            data.irrep_dims[w] == rs.delta[sigma[w]] for w in range(n)
-        )
-        best = CorrespondenceReport(True, dims_ok, sum_squares_ok, sigma)
-        if dims_ok:
-            return best
-    if best is None:
+    matchings = list(_isomorphisms(data.adjacency, target))
+    if not matchings:
         raise NoIsomorphism("no adjacency isomorphism fixing the trivial vertex")
-    return best
+    with_dims = [
+        sigma
+        for sigma in matchings
+        if all(data.irrep_dims[w] == rs.delta[sigma[w]] for w in range(n))
+    ]
+    if with_dims:
+        return CorrespondenceReport(True, True, sum_squares_ok, min(with_dims))
+    return CorrespondenceReport(True, False, sum_squares_ok, max(matchings))
 
 
 def projective_mckay(dynkin: DynkinType):

@@ -400,8 +400,12 @@ class SlicePlane:
 def figure_plane(rs: RootSystem) -> SlicePlane:
     """The standard simplex slice through the fundamental cone.
 
-    The apex of the cone with all non-extending entries zero sits at the
-    (s, t) origin, and the two extreme isotropic rays hit (1, 0) and (0, 1).
+    At (s, t) the entry at vertex 1 is s, the entry at the last vertex is
+    t, and theta(delta) = 1 - s - t, so the isotropic wall is the line
+    s + t = 1.  From four vertices on, every other non-extending vertex
+    keeps the entry 1/h on the whole plane: a wall supported on those
+    vertices then misses the plane instead of containing it.  The plane
+    meets the fundamental cone in the simplex s, t >= 0, s + t <= 1.
     """
     n_vertices = len(rs.vertices)
     margin = Fraction(1, 5)
@@ -412,17 +416,18 @@ def figure_plane(rs: RootSystem) -> SlicePlane:
             d2=(Fraction(0), Fraction(1)),
             window=(-1 - margin, 1 + margin, -1 - margin, 1 + margin),
         )
-    apex = tuple(Fraction(1 if i == 0 else 0) for i in range(n_vertices))
-    top1 = [Fraction(-1)] + [Fraction(0)] * (n_vertices - 1)
-    top2 = [Fraction(-1)] + [Fraction(0)] * (n_vertices - 1)
-    top1[1] = Fraction(1)
-    top2[n_vertices - 1] = Fraction(1)
-    d1 = tuple(a - b for a, b in zip(top1, apex))
-    d2 = tuple(a - b for a, b in zip(top2, apex))
+    last = n_vertices - 1
+    base = [Fraction(0)] + [Fraction(1, rs.h)] * (n_vertices - 1)
+    base[1] = base[last] = Fraction(0)
+    base[0] = 1 - sum(d * x for d, x in zip(rs.delta, base))
+    d1 = [Fraction(0)] * n_vertices
+    d2 = [Fraction(0)] * n_vertices
+    d1[0], d1[1] = Fraction(-1 - rs.delta[1]), Fraction(1)
+    d2[0], d2[last] = Fraction(-1 - rs.delta[last]), Fraction(1)
     return SlicePlane(
-        base=apex,
-        d1=d1,
-        d2=d2,
+        base=tuple(base),
+        d1=tuple(d1),
+        d2=tuple(d2),
         window=(-margin, 1 + margin, -margin, 1 + margin),
     )
 

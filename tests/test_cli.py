@@ -1,9 +1,14 @@
 """Command-line behavior, document round-trips, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quiverstab
 from quiverstab import craw_wye_theta, framed_orbit_sum
 from quiverstab.cli import (
     build_parser,
@@ -139,6 +144,22 @@ def test_mckay_verify_cli(capsys):
     assert "adjacency_ok true" in out and "dims_ok true" in out
 
 
+def test_mckay_verify_long_cycle(capsys):
+    code, out, _ = run(capsys, "mckay", "verify", "cyclic:40", "A39")
+    assert code == 0
+    assert "adjacency_ok true" in out and "dims_ok true" in out
+
+
+def test_cli_import_loads_no_numpy():
+    src = Path(quiverstab.__file__).resolve().parents[1]
+    probe = "import sys, quiverstab.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
 def test_domain_error_exit_code_and_name(capsys):
     code, out, err = run(
         capsys, "rep", "orbit-sum", "--type", "A1", "--points", "0,0", "--field", "Q"
@@ -226,9 +247,14 @@ def _fp_doc_with_entry(entry):
         (["theta", "craw-wye", "--type", "A2", "-n", "0", "--J", "0"], "BadSubset"),
         (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}",
           "--plane", "base=0,0;d1=1,0;d2=0,1;window=0,0,0,1"], "DegeneratePlane"),
+        (["mckay", "verify", "cyclic:x", "A1"], "InvalidRank"),
+        (["mckay", "verify", "bd:", "D4"], "InvalidRank"),
+        (["mckay", "verify", "bd:x", "D4"], "InvalidRank"),
+        (["mckay", "verify", "cyclic:1.5", "A1"], "InvalidRank"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
-         "zero-denominator-theta", "craw-wye-n0", "zero-extent-window"],
+         "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
+         "group-order-word", "group-order-empty", "group-order-word-bd", "group-order-fraction"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     rep = tmp_path / "rep.json"

@@ -18,6 +18,7 @@ from quiverstab import (
     sign_string,
     sign_vector,
 )
+from quiverstab.cli import main
 from quiverstab.errors import ContextMismatch, DegeneratePlane
 from quiverstab.walls import (
     Hyperplane,
@@ -236,3 +237,60 @@ def test_render_slice_deterministic(rs_a2):
     assert one.table == two.table
     assert one.svg.startswith("<svg ")
     assert "cell\tsigns\tlabel" in one.table
+
+
+def _zaslavsky_cell_count(arr, plane):
+    """1 + L + sum over interior vertices v of (m_v - 1) for the clipped lines.
+
+    L counts the distinct lines crossing the open window and m_v the lines
+    through an arrangement vertex v inside it (Zaslavsky 1975).
+    """
+    smin, smax, tmin, tmax = (Fraction(x) for x in plane.window)
+    corners = [(smin, tmin), (smax, tmin), (smax, tmax), (smin, tmax)]
+    lines = set()
+    for h in arr.hyperplanes:
+        a = sum(c * Fraction(x) for c, x in zip(h.coeffs, plane.d1))
+        b = sum(c * Fraction(x) for c, x in zip(h.coeffs, plane.d2))
+        c0 = sum(c * Fraction(x) for c, x in zip(h.coeffs, plane.base))
+        values = [a * s + b * t + c0 for s, t in corners]
+        if min(values) < 0 < max(values):
+            lead = a if a != 0 else b
+            lines.add((a / lead, b / lead, c0 / lead))
+    lines = sorted(lines)
+    through = {}
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            s = (b1 * c2 - b2 * c1) / det
+            t = (a2 * c1 - a1 * c2) / det
+            if smin < s < smax and tmin < t < tmax:
+                through.setdefault((s, t), set()).update({(a1, b1, c1), (a2, b2, c2)})
+    return 1 + len(lines) + sum(len(ls) - 1 for ls in through.values())
+
+
+def test_default_plane_for_two_and_three_vertices(rs_a1, rs_a2):
+    wide, narrow = Fraction(6, 5), Fraction(1, 5)
+    assert figure_plane(rs_a1) == SlicePlane((0, 0), (1, 0), (0, 1), (-wide, wide, -wide, wide))
+    assert figure_plane(rs_a2) == SlicePlane(
+        (1, 0, 0), (-2, 1, 0), (-2, 0, 1), (-narrow, wide, -narrow, wide)
+    )
+
+
+@pytest.mark.parametrize("type_label, n", [("A3", 2), ("D4", 1), ("E6", 1)])
+def test_default_slice_from_rank_three(capsys, tmp_path, type_label, n):
+    table = tmp_path / "cells.tsv"
+    code = main(["walls", "slice", "--type", type_label, "-n", str(n),
+                 "--out", str(tmp_path / "slice.svg"), "--table", str(table)])
+    assert code == 0
+    capsys.readouterr()
+    rs = build_root_system(DynkinType.parse(type_label))
+    plane = figure_plane(rs)
+    cells = table.read_text().splitlines()[1:]
+    assert len(cells) == _zaslavsky_cell_count(build_arrangement(rs, n), plane)
+    # the plane crosses the interior of the fundamental cone
+    quarter = Fraction(1, 4)
+    inside = make_theta(rs, tuple(n * d for d in rs.delta), plane.theta_entries(quarter, quarter))
+    assert cone_membership(inside, ConeSpec(kind="F", n=n))
+    assert all(x > 0 for x in inside.entries[1:]) and inside.delta_value() > 0
