@@ -21,6 +21,10 @@ class RoundingFailure(DomainError):
     pass
 
 
+class GroupTooLarge(DomainError):
+    """The group order exceeds the cap of :mod:`quiverstab.mckay`."""
+
+
 class NoIsomorphism(DomainError):
     pass
 
@@ -71,6 +75,10 @@ class BadSubset(DomainError):
 
 class DegeneratePlane(DomainError):
     pass
+
+
+class FaceCountMismatch(DomainError):
+    """A traced line arrangement fails Euler's formula V - E + F = 2."""
 
 
 class LatticeTooLarge(DomainError):

@@ -10,6 +10,8 @@ hundred), so clarity beats asymptotics throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import NonIntegralEntry, UnsupportedField
 
@@ -117,6 +119,24 @@ class PrimeField:
 
 
 QQ = Rationals()
+
+
+def dot(coeffs, values) -> Fraction:
+    """Exact pairing sum_i coeffs[i] * values[i] of two rational vectors."""
+    return sum(map(mul, coeffs, values), Fraction(0))
+
+
+def primitive(values):
+    """The primitive integer vector on the ray of a rational vector.
+
+    Clears denominators and divides by the content, keeping the sign; the
+    zero vector stays zero.
+    """
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    scale = lcm(*[x.denominator for x in values])
+    ints = [x.numerator * scale // x.denominator for x in values]
+    content = gcd(*ints)
+    return tuple([x // content for x in ints]) if content > 1 else tuple(ints)
 
 
 # -- matrices: tuples of row tuples ------------------------------------------

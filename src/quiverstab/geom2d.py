@@ -1,9 +1,17 @@
 """Exact planar line arrangements clipped to a rectangular window.
 
-Coordinates are Fractions throughout.  Lines are triples (a, b, c) for
-a*x + b*y + c = 0.  The only public entry point returns the bounded open
-cells of the arrangement inside the window as counterclockwise vertex
-cycles; every cell is convex because it is an intersection of half planes.
+Lines are triples (a, b, c) for a*x + b*y + c = 0 with rational
+coefficients.  Each is scaled to a primitive integer line whose first
+nonzero of a, b is positive, which deduplicates it and gives it the
+integer direction (b, -a).  The four window borders join the set as more lines;
+every pair of lines is intersected once, the points inside the closed
+window are sorted along each line, the edges leaving each vertex are
+ordered by their integer directions, and the faces are traced.  Euler's
+formula V - E + F = 2 (the outer face counted) must hold on the traced
+graph, so a tracing fault raises instead of drawing a wrong figure.  The
+only public entry point returns the bounded open cells inside the window
+as counterclockwise vertex cycles; every cell is convex because it is an
+intersection of half planes.  Points are Fractions.
 """
 
 from __future__ import annotations
@@ -11,59 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .errors import DegeneratePlane
-
-
-def line_through(p, q):
-    (x1, y1), (x2, y2) = p, q
-    return (y2 - y1, x1 - x2, x2 * y1 - x1 * y2)
-
-
-def intersect_lines(l1, l2):
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
-    x = (b1 * c2 - b2 * c1) / det
-    y = (a2 * c1 - a1 * c2) / det
-    return (x, y)
-
-
-def _in_window(p, window) -> bool:
-    xmin, xmax, ymin, ymax = window
-    return xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
-
-
-def clip_line(line, window):
-    """Intersect a line with the window; returns a segment (p, q) or None."""
-    xmin, xmax, ymin, ymax = window
-    borders = [
-        (Fraction(1), Fraction(0), -Fraction(xmin)),
-        (Fraction(1), Fraction(0), -Fraction(xmax)),
-        (Fraction(0), Fraction(1), -Fraction(ymin)),
-        (Fraction(0), Fraction(1), -Fraction(ymax)),
-    ]
-    hits = set()
-    for border in borders:
-        p = intersect_lines(line, border)
-        if p is not None and _in_window(p, window):
-            hits.add(p)
-    if len(hits) < 2:
-        return None
-    pts = sorted(hits)
-    return (pts[0], pts[-1])
-
-
-def _on_segment(p, seg) -> bool:
-    (x1, y1), (x2, y2) = seg
-    x, y = p
-    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-    if cross != 0:
-        return False
-    dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
-    length2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
-    return 0 <= dot <= length2
+from .errors import DegeneratePlane, FaceCountMismatch
+from .fieldops import primitive
 
 
 def _direction_cmp(d1, d2):
@@ -77,11 +34,7 @@ def _direction_cmp(d1, d2):
     if h1 != h2:
         return -1 if h1 < h2 else 1
     cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+    return -1 if cross > 0 else 1 if cross < 0 else 0
 
 
 def _signed_area2(cycle) -> Fraction:
@@ -91,97 +44,78 @@ def _signed_area2(cycle) -> Fraction:
     return s
 
 
+def _integer_line(line):
+    a, b, c = primitive(line)
+    if a == 0 and b == 0:
+        raise ValueError("degenerate line")
+    if a < 0 or (a == 0 and b < 0):
+        return (-a, -b, -c)
+    return (a, b, c)
+
+
 def arrangement_cells(lines, window):
     """Bounded open cells of the clipped line arrangement, as CCW cycles.
 
-    ``lines`` may contain duplicates (they are deduplicated by normalized
-    coefficients).  Cells are returned in a deterministic order, each cycle
-    rotated so its lexicographically smallest vertex comes first.  A
-    window without positive extent raises :class:`DegeneratePlane`.
+    ``lines`` may contain duplicates, in any scaling.  Cells are returned
+    in a deterministic order, each cycle rotated so its lexicographically
+    smallest vertex comes first.  A window without positive extent raises
+    :class:`DegeneratePlane`; a traced graph that fails Euler's formula
+    raises :class:`FaceCountMismatch`.
     """
-    xmin, xmax, ymin, ymax = window
+    xmin, xmax, ymin, ymax = (Fraction(w) for w in window)
     if not (xmin < xmax and ymin < ymax):
         raise DegeneratePlane("window must have positive extent")
+    borders = [(1, 0, -xmin), (1, 0, -xmax), (0, 1, -ymin), (0, 1, -ymax)]
+    keys = list(dict.fromkeys(_integer_line(line) for line in borders + list(lines)))
 
-    corners = [
-        (Fraction(xmin), Fraction(ymin)),
-        (Fraction(xmax), Fraction(ymin)),
-        (Fraction(xmax), Fraction(ymax)),
-        (Fraction(xmin), Fraction(ymax)),
-    ]
-    segments = [
-        (corners[0], corners[1]),
-        (corners[1], corners[2]),
-        (corners[2], corners[3]),
-        (corners[3], corners[0]),
-    ]
-
-    seen = set()
-    for line in lines:
-        a, b, c = line
-        if a == 0 and b == 0:
-            raise ValueError("degenerate line")
-        lead = a if a != 0 else b
-        key = (a / lead, b / lead, c / lead)
-        if key in seen:
-            continue
-        seen.add(key)
-        seg = clip_line((Fraction(a), Fraction(b), Fraction(c)), window)
-        if seg is not None:
-            segments.append(seg)
-
-    # split every segment at every arrangement vertex lying on it
-    supporting = [line_through(*seg) for seg in segments]
-    edges = set()
-    for i, seg in enumerate(segments):
-        pts = {seg[0], seg[1]}
-        for j, other in enumerate(segments):
-            if i == j:
+    # every pair once; each line keeps the points inside the closed window
+    on_line = [set() for _ in keys]
+    for i, (a1, b1, c1) in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            a2, b2, c2 = keys[j]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
                 continue
-            p = intersect_lines(supporting[i], supporting[j])
-            if p is not None and _on_segment(p, seg) and _on_segment(p, segments[j]):
-                pts.add(p)
-        dx = seg[1][0] - seg[0][0]
-        dy = seg[1][1] - seg[0][1]
-        ordered = sorted(pts, key=lambda p: p[0] * dx + p[1] * dy)
-        for u, v in zip(ordered, ordered[1:]):
-            if u != v:
-                edges.add((u, v))
-                edges.add((v, u))
+            p = (Fraction(b1 * c2 - b2 * c1, det), Fraction(a2 * c1 - a1 * c2, det))
+            if xmin <= p[0] <= xmax and ymin <= p[1] <= ymax:
+                on_line[i].add(p)
+                on_line[j].add(p)
 
+    # outgoing edges per vertex, each as (integer direction, target)
     outgoing = {}
-    for u, v in edges:
-        outgoing.setdefault(u, []).append(v)
-    for u, targets in outgoing.items():
-        targets.sort(
-            key=cmp_to_key(
-                lambda p, q, u=u: _direction_cmp(
-                    (p[0] - u[0], p[1] - u[1]), (q[0] - u[0], q[1] - u[1])
-                )
-            )
-        )
-
-    def next_edge(u, v):
-        targets = outgoing[v]
-        idx = targets.index(u)
-        return (v, targets[idx - 1])
+    edges = 0
+    for (a, b, _), pts in zip(keys, on_line):
+        ordered = sorted(pts, key=lambda p: b * p[0] - a * p[1])
+        for u, v in zip(ordered, ordered[1:]):
+            outgoing.setdefault(u, []).append(((b, -a), v))
+            outgoing.setdefault(v, []).append(((-b, a), u))
+            edges += 1
+    rank = {}  # (vertex, neighbour) -> position in the CCW order around vertex
+    for u, out in outgoing.items():
+        out.sort(key=cmp_to_key(lambda e, f: _direction_cmp(e[0], f[0])))
+        for k, (_, v) in enumerate(out):
+            rank[u, v] = k
 
     cells = []
+    faces = 0
     visited = set()
-    for start in sorted(edges):
+    for start in rank:
         if start in visited:
             continue
+        faces += 1
         cycle = []
-        edge = start
-        while edge not in visited:
-            visited.add(edge)
-            cycle.append(edge[0])
-            edge = next_edge(*edge)
-        if edge != start:
-            raise RuntimeError("face tracing did not close a cycle")
+        u, v = start
+        while (u, v) not in visited:
+            visited.add((u, v))
+            cycle.append(u)
+            u, v = v, outgoing[v][rank[v, u] - 1][1]
         if _signed_area2(cycle) > 0:
             low = min(range(len(cycle)), key=lambda k: cycle[k])
             cells.append(tuple(cycle[low:] + cycle[:low]))
+    if len(outgoing) - edges + faces != 2:
+        raise FaceCountMismatch(
+            f"traced {len(outgoing)} vertices, {edges} edges and {faces} faces"
+        )
     cells.sort()
     return cells
 

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedField,
     UnsupportedType,
 )
-from .fieldops import PrimeField, mat_sub, zeros
+from .fieldops import PrimeField, identity, invert, mat_coerce, mat_mul, mat_sub, zeros
 from .rootsys import RootSystem
 
 INF = "inf"
@@ -135,27 +135,14 @@ class FramedRep:
         return FramedRep(self.quiver, self.field, self.dims, new)
 
 
-def _compose(field, a, b, rows, inner, cols):
-    """a @ b with explicit shapes, so zero inner dimension yields zeros."""
-    if inner == 0 or rows == 0 or cols == 0:
-        return zeros(field, rows, cols)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(
-            sum((field.mul(x, y) for x, y in zip(row, col)), field.zero)
-            for col in bt
-        )
-        for row in a
-    )
-
-
 def moment_defect(rep: FramedRep):
     """Per-vertex signed relation values, indexed by the affine vertices.
 
     At vertex i the value is the sum of x_a x_a* over original arrows with
     head i minus the sum of x_a* x_a over original arrows with tail i; the
     framing pair contributes at vertex 0 only.  The value at the framing
-    vertex is omitted: its trace is determined by the others.
+    vertex is omitted: its trace is determined by the others.  A product
+    through a zero-dimensional vertex is zero and is skipped.
     """
     field = rep.field
     dims = rep.dims
@@ -174,10 +161,10 @@ def moment_defect(rep: FramedRep):
         x = rep.matrix(a.label)
         y = rep.matrix(a.partner)
         h, t = dims.at(a.head), dims.at(a.tail)
-        if a.head != INF:
-            add(a.head, _compose(field, x, y, h, t, h), +1)
-        if a.tail != INF:
-            add(a.tail, _compose(field, y, x, t, h, t), -1)
+        if a.head != INF and t:
+            add(a.head, mat_mul(field, x, y), +1)
+        if a.tail != INF and h:
+            add(a.tail, mat_mul(field, y, x), -1)
     return defect
 
 
@@ -310,8 +297,6 @@ def reduce_rep(rep: FramedRep, p: int) -> FramedRep:
 
 def gauge_conjugate(rep: FramedRep, gauge) -> FramedRep:
     """Change of basis at the affine vertices; the framing line is untouched."""
-    from .fieldops import invert, mat_coerce
-
     field = rep.field
     inverses = {}
     mats = {}
@@ -331,8 +316,6 @@ def gauge_conjugate(rep: FramedRep, gauge) -> FramedRep:
             return one, one
         if vertex in mats:
             return mats[vertex], inverses[vertex]
-        from .fieldops import identity
-
         eye = identity(field, rep.dims.v[vertex])
         return eye, eye
 
@@ -340,9 +323,8 @@ def gauge_conjugate(rep: FramedRep, gauge) -> FramedRep:
     for a in rep.quiver.arrows:
         g_head, _ = at(a.head)
         _, g_tail_inv = at(a.tail)
-        h, t = rep.dims.at(a.head), rep.dims.at(a.tail)
-        half = _compose(field, rep.matrix(a.label), g_tail_inv, h, t, t)
-        matrices[a.label] = _compose(field, g_head, half, h, h, t)
+        half = mat_mul(field, rep.matrix(a.label), g_tail_inv)
+        matrices[a.label] = mat_mul(field, g_head, half)
     return FramedRep(rep.quiver, field, rep.dims, matrices)
 
 

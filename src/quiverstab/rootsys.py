@@ -209,7 +209,4 @@ def pair(theta, beta: RootLatticeVector) -> Fraction:
     """
     if theta.rs != beta.rs:
         raise MismatchedRootSystem("stability vector and root disagree on type")
-    return sum(
-        (Fraction(c) * t for c, t in zip(beta.coeffs, theta.entries)),
-        Fraction(0),
-    )
+    return theta.value(beta.coeffs)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import BadSubset, ContextMismatch, IndexMismatch
+from .fieldops import dot
 from .quiverrep import DimVector
 from .rootsys import RootSystem
 
@@ -28,9 +29,7 @@ class StabilityVector:
 
     def value(self, coeffs) -> Fraction:
         """Pairing with an integer coefficient vector over the affine vertices."""
-        return sum(
-            (Fraction(c) * t for c, t in zip(coeffs, self.entries)), Fraction(0)
-        )
+        return dot(coeffs, self.entries)
 
     def delta_value(self) -> Fraction:
         return self.value(self.rs.delta)
@@ -42,7 +41,7 @@ def make_theta(rs: RootSystem, v, entries) -> StabilityVector:
     if len(v) != len(rs.vertices) or len(entries) != len(rs.vertices):
         raise IndexMismatch("context and entries must cover the affine vertices")
     ent = tuple(Fraction(x) for x in entries)
-    theta_inf = -sum((Fraction(c) * t for c, t in zip(v, ent)), Fraction(0))
+    theta_inf = -dot(v, ent)
     return StabilityVector(rs=rs, context=v, entries=ent, theta_inf=theta_inf)
 
 
@@ -132,12 +131,13 @@ def cone_constraints(rs: RootSystem, cone: ConeSpec, closed: bool = False):
     return out
 
 
-def _satisfies(value: Fraction, rel: str) -> bool:
+def holds(value, rel: str, rhs=0) -> bool:
+    """The relation ``value rel rhs`` for rel one of ">", ">=", "="."""
     if rel == ">":
-        return value > 0
+        return value > rhs
     if rel == ">=":
-        return value >= 0
-    return value == 0
+        return value >= rhs
+    return value == rhs
 
 
 def cone_membership(theta: StabilityVector, cone: ConeSpec, closed: bool = False) -> bool:
@@ -148,7 +148,7 @@ def cone_membership(theta: StabilityVector, cone: ConeSpec, closed: bool = False
             f"stability context {theta.context} is not {cone.n} * delta"
         )
     return all(
-        _satisfies(theta.value(coeffs), rel)
+        holds(theta.value(coeffs), rel)
         for coeffs, rel in cone_constraints(theta.rs, cone, closed=closed)
     )
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import geom2d
 from .errors import ContextMismatch, DegeneratePlane
-from .fieldops import QQ, mat_coerce, nullspace
+from .fieldops import QQ, dot, identity, mat_coerce, nullspace, primitive
 from .rootsys import RootLatticeVector, RootSystem, m_delta_plus_root
-from .stability import StabilityVector, cone_membership, make_theta
+from .stability import StabilityVector, cone_membership, holds, make_theta
 
 
 @dataclass(frozen=True)
@@ -30,17 +29,13 @@ class Hyperplane:
 
     @classmethod
     def from_coeffs(cls, rs: RootSystem, coeffs) -> "Hyperplane":
-        coeffs = [int(c) for c in coeffs]
-        content = 0
-        for c in coeffs:
-            content = gcd(content, abs(c))
-        if content == 0:
+        coeffs = primitive(coeffs)
+        lead = next((c for c in coeffs if c != 0), None)
+        if lead is None:
             raise ValueError("zero normal vector")
-        coeffs = [c // content for c in coeffs]
-        lead = next(c for c in coeffs if c != 0)
         if lead < 0:
-            coeffs = [-c for c in coeffs]
-        return cls(RootLatticeVector(rs, tuple(coeffs)))
+            coeffs = tuple(-c for c in coeffs)
+        return cls(RootLatticeVector(rs, coeffs))
 
     @property
     def coeffs(self):
@@ -90,18 +85,7 @@ def sign_string(signs) -> str:
 # -- exact Fourier-Motzkin ----------------------------------------------------
 
 def _normalize(coeffs, rel, rhs):
-    denoms = [Fraction(c).denominator for c in coeffs] + [Fraction(rhs).denominator]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(Fraction(c) * scale) for c in coeffs]
-    rint = int(Fraction(rhs) * scale)
-    content = abs(rint)
-    for c in ints:
-        content = gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
-        rint //= content
+    *ints, rint = primitive((*coeffs, rhs))
     return (tuple(ints), rel, rint)
 
 
@@ -151,30 +135,17 @@ def _feasible_point(constraints, nvars):
             new_rows.append(_normalize(merged, rel, rhs2))
         rows = new_rows
 
-    for c, rel, b in rows:
-        if rel == "=" and not any(c) and b != 0:
-            return None
-
-    rows = [row for row in rows if row[1] != "="]
-
-    def trivially(row):
-        c, rel, b = row
-        if any(c):
-            return None
-        if rel == ">":
-            return b < 0
-        return b <= 0
-
-    stages = []
+    # a row without variables (every equality left is one) reads 0 rel rhs:
+    # it holds and is dropped, or the system is infeasible
     pending = []
-    for row in rows:
-        t = trivially(row)
-        if t is False:
+    for c, rel, b in rows:
+        if any(c):
+            pending.append((c, rel, b))
+        elif not holds(0, rel, b):
             return None
-        if t is None:
-            pending.append(row)
     rows = sorted(set(pending))
 
+    stages = []
     while True:
         active = sorted({i for c, _, _ in rows for i, x in enumerate(c) if x != 0})
         if not active:
@@ -194,13 +165,14 @@ def _feasible_point(constraints, nvars):
         for lo in lowers:
             for up in uppers:
                 row = _combine(lo, up, var)
-                t = trivially(row)
-                if t is False:
-                    return None
-                if t is None:
+                if any(row[0]):
                     fresh.add(row)
+                elif not holds(0, row[1], row[2]):
+                    return None
         rows = sorted(fresh)
 
+    # each variable is set once, so values[var] is still 0 while its own
+    # row is evaluated and dot() gives the pairing with the other variables
     values = [Fraction(0)] * nvars
     for var, system in reversed(stages):
         best_lo = None  # (value, strict)
@@ -208,11 +180,7 @@ def _feasible_point(constraints, nvars):
         for c, rel, b in system:
             if c[var] == 0:
                 continue
-            rest = sum(
-                (Fraction(x) * values[i] for i, x in enumerate(c) if i != var),
-                Fraction(0),
-            )
-            bound = (Fraction(b) - rest) / c[var]
+            bound = (b - dot(c, values)) / c[var]
             strict = rel == ">"
             if c[var] > 0:
                 if best_lo is None or bound > best_lo[0] or (
@@ -238,17 +206,10 @@ def _feasible_point(constraints, nvars):
             values[var] = best_lo[0]
 
     for var, coeffs, rhs in reversed(substitutions):
-        rest = sum(
-            (Fraction(x) * values[i] for i, x in enumerate(coeffs) if i != var),
-            Fraction(0),
-        )
-        values[var] = (Fraction(rhs) - rest) / coeffs[var]
+        values[var] = (rhs - dot(coeffs, values)) / coeffs[var]
 
-    for c, rel, b in original:
-        val = sum((Fraction(x) * values[i] for i, x in enumerate(c)), Fraction(0))
-        ok = val > b if rel == ">" else val >= b if rel == ">=" else val == b
-        if not ok:
-            raise AssertionError("witness fails a constraint it was built from")
+    if not all(holds(dot(c, values), rel, b) for c, rel, b in original):
+        raise AssertionError("witness fails a constraint it was built from")
     return values
 
 
@@ -280,19 +241,8 @@ def interior_point(rs: RootSystem, n: int, constraints):
 def _equality_directions(rs, constraints):
     eqs = [tuple(c) for c, rel, _ in _as_triples(constraints) if rel == "="]
     if not eqs:
-        from .fieldops import identity
-
         return identity(QQ, len(rs.vertices))
     return nullspace(QQ, mat_coerce(QQ, eqs), len(rs.vertices))
-
-
-def _check_triples(theta: StabilityVector, triples) -> bool:
-    for c, rel, b in triples:
-        val = theta.value(c)
-        ok = val > b if rel == ">" else val >= b if rel == ">=" else val == b
-        if not ok:
-            return False
-    return True
 
 
 def generic_relint_point(rs: RootSystem, n: int, constraints, avoid):
@@ -311,7 +261,7 @@ def generic_relint_point(rs: RootSystem, n: int, constraints, avoid):
         tuple(c)
         for c in avoid
         if base.value(c) == 0
-        and all(sum(Fraction(x) * d[i] for i, x in enumerate(c)) == 0 for d in dirs)
+        and all(dot(c, d) == 0 for d in dirs)
     )
     forced_set = set(forced)
     must_miss = [tuple(c) for c in avoid if tuple(c) not in forced_set]
@@ -334,7 +284,9 @@ def generic_relint_point(rs: RootSystem, n: int, constraints, avoid):
                 context,
                 [e + eps * g for e, g in zip(base.entries, drift)],
             )
-            if _check_triples(cand, triples) and zeros_ok(cand):
+            if all(
+                holds(cand.value(c), rel, b) for c, rel, b in triples
+            ) and zeros_ok(cand):
                 return cand, forced
             eps /= 2
     raise AssertionError("could not move the witness off the avoided walls")
@@ -365,7 +317,9 @@ def sample_interior_points(rs: RootSystem, n: int, constraints, count: int, seed
         cand = make_theta(
             rs, context, [e + g for e, g in zip(base.entries, drift)]
         )
-        if cand.entries not in seen and _check_triples(cand, triples):
+        if cand.entries not in seen and all(
+            holds(cand.value(c), rel, b) for c, rel, b in triples
+        ):
             out.append(cand)
             seen.add(cand.entries)
             failures = 0
@@ -464,9 +418,9 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels) -> SliceResu
     arr = build_arrangement(rs, n)
     lines = []
     for h in arr.hyperplanes:
-        a = sum(Fraction(c) * d for c, d in zip(h.coeffs, plane.d1))
-        b = sum(Fraction(c) * d for c, d in zip(h.coeffs, plane.d2))
-        c0 = sum(Fraction(c) * q for c, q in zip(h.coeffs, plane.base))
+        a = dot(h.coeffs, plane.d1)
+        b = dot(h.coeffs, plane.d2)
+        c0 = dot(h.coeffs, plane.base)
         if a == 0 and b == 0:
             if c0 == 0:
                 raise DegeneratePlane(

@@ -251,10 +251,12 @@ def _fp_doc_with_entry(entry):
         (["mckay", "verify", "bd:", "D4"], "InvalidRank"),
         (["mckay", "verify", "bd:x", "D4"], "InvalidRank"),
         (["mckay", "verify", "cyclic:1.5", "A1"], "InvalidRank"),
+        (["mckay", "verify", "cyclic:1000", "A999"], "GroupTooLarge"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
-         "group-order-word", "group-order-empty", "group-order-word-bd", "group-order-fraction"],
+         "group-order-word", "group-order-empty", "group-order-word-bd", "group-order-fraction",
+         "group-too-large"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     rep = tmp_path / "rep.json"

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from quiverstab import DynkinType, build_root_system
-from quiverstab.errors import InvalidRank, NoIsomorphism
+from quiverstab.errors import GroupTooLarge, InvalidRank, NoIsomorphism
 from quiverstab.mckay import (
+    MAX_GROUP_ORDER,
     GroupSpec,
     _mat_mul,
     build_mckay,
@@ -135,6 +136,16 @@ def test_group_spec_validation():
     assert GroupSpec.parse("2i").family == "binary_icosahedral"
     assert GroupSpec.parse("cyclic:6").m == 6
     assert GroupSpec.parse("bd:3").order() == 12
+
+
+def test_group_order_cap():
+    assert GroupSpec("binary_icosahedral").order() == MAX_GROUP_ORDER
+    assert GroupSpec("cyclic", MAX_GROUP_ORDER).order() == MAX_GROUP_ORDER
+    assert GroupSpec("binary_dihedral", MAX_GROUP_ORDER // 4).order() == MAX_GROUP_ORDER
+    with pytest.raises(GroupTooLarge):
+        GroupSpec("cyclic", MAX_GROUP_ORDER + 1)
+    with pytest.raises(GroupTooLarge):
+        GroupSpec.parse(f"bd:{MAX_GROUP_ORDER // 4 + 1}")
 
 
 @pytest.mark.parametrize(

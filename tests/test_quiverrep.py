@@ -72,6 +72,32 @@ def test_moment_defect_single_arrow(rs_a1):
     assert not is_pi_bar_module(rep)
 
 
+def test_zero_dimensional_vertex_products(rs_a2):
+    # vertex 1 has dimension 0, so every product through it is empty or zero
+    rep = FramedRep(
+        framed_quiver(rs_a2),
+        QQ,
+        DimVector(1, (1, 0, 2)),
+        {"b": [[2]], "b*": [[3]], "e:0-2": [[1], [2]], "e*:2-0": [[3, 1]]},
+    )
+    defect = moment_defect(rep)
+    assert defect == {0: ((1,),), 1: (), 2: ((3, 1), (6, 2))}
+
+    conj = gauge_conjugate(rep, {0: [[2]], 2: [[1, 1], [0, 1]]})
+    assert conj.matrices == {
+        "e:0-1": (),
+        "e*:1-0": ((),),
+        "e:0-2": ((Fraction(3, 2),), (1,)),
+        "e*:2-0": ((6, -4),),
+        "e:1-2": ((), ()),
+        "e*:2-1": (),
+        "b": ((4,),),
+        "b*": ((Fraction(3, 2),),),
+    }
+    # the relation values transform by the gauge: g D g^-1
+    assert moment_defect(conj) == {0: ((1,),), 1: (), 2: ((9, -6), (6, -4))}
+
+
 def test_orbit_sum_examples(rs_a1):
     rep = framed_orbit_sum(rs_a1, [(1, 0)], QQ)
     assert rep.dims == DimVector(1, (1, 1))
