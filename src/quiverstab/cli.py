@@ -34,6 +34,10 @@ class DocumentError(DomainError):
     pass
 
 
+# what reading a JSON value of the wrong type, shape or size can raise
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
+
+
 # -- documents ----------------------------------------------------------------
 
 def theta_to_doc(theta) -> dict:
@@ -51,7 +55,7 @@ def theta_from_doc(doc: dict):
         rs = build_root_system(DynkinType.parse(doc["type"]))
         n = int(doc["n"])
         entries = [Fraction(doc["entries"][str(i)]) for i in rs.vertices]
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise DocumentError(f"malformed stability document: {exc}") from None
     return make_theta(rs, tuple(n * d for d in rs.delta), entries)
 
@@ -94,7 +98,7 @@ def rep_from_doc(doc: dict) -> FramedRep:
         }
     except DocumentError:
         raise
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise DocumentError(f"malformed representation document: {exc}") from None
     return FramedRep(framed_quiver(rs), field, dims, matrices)
 
@@ -107,13 +111,20 @@ def _load_json(path: str) -> dict:
         raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None
+
+
 def _dump_json(doc: dict, path: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(path, text)
 
 
 # -- flag parsing helpers -----------------------------------------------------
@@ -279,11 +290,9 @@ def _cmd_walls_slice(args) -> int:
             labels.append((name, ConeSpec(kind="C", n=args.n, K=K)))
         labels.sort(key=lambda pair: pair[0])
     result = render_slice(rs, args.n, plane, labels)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(result.svg)
+    _write_text(args.out, result.svg)
     if args.table:
-        with open(args.table, "w", encoding="utf-8") as fh:
-            fh.write(result.table)
+        _write_text(args.table, result.table)
     else:
         sys.stdout.write(result.table)
     labeled = sum(1 for cell in result.cells if cell.label != "-")

@@ -77,6 +77,14 @@ class DegeneratePlane(DomainError):
     pass
 
 
+class SliceTooLarge(DomainError):
+    """More walls meet the slice plane than :mod:`quiverstab.walls` draws."""
+
+
+class SamplerExhausted(DomainError):
+    """The interior-point sampler found too few distinct points."""
+
+
 class FaceCountMismatch(DomainError):
     """A traced line arrangement fails Euler's formula V - E + F = 2."""
 

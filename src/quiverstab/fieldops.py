@@ -68,10 +68,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# Largest characteristic accepted.  Primality is tested by trial division,
+# which takes about sqrt(p) steps: 46,341 here, 10^10 for p near 10^20.
+MAX_PRIME = 2**31 - 1
+
+
 class PrimeField:
     """The prime field F_p; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
+        if p > MAX_PRIME:
+            raise UnsupportedField(f"{p} is larger than the largest supported prime {MAX_PRIME}")
         if not _is_prime(p):
             raise UnsupportedField(f"{p} is not prime")
         self.p = p

@@ -3,10 +3,10 @@
 Groups are enumerated as explicit 2x2 complex matrices generated from
 fixed generator sets (floating point with ~15 significant digits;
 elements are told apart by rounding to nine digits, with a 1e-6 guard).
-Everything after enumeration is exact integer arithmetic.  The right
-action of each generator, read off once in floats, gives an integer
-Cayley table; conjugacy classes, inverses, power maps and the class-sum
-structure constants come from that table.
+Everything after enumeration is exact integer arithmetic.  The left
+action of each generator, recorded once by the enumeration, gives an
+integer Cayley table; conjugacy classes, inverses, power maps and the
+class-sum structure constants come from that table.
 
 The character table is computed over a prime field F_q with q = 1 mod
 the group exponent and q > 2 sqrt|G| (Dixon 1967, Schneider 1990): the
@@ -168,22 +168,38 @@ def _generators(spec: GroupSpec):
 
 
 def _enumerate_group(spec: GroupSpec):
+    """The elements in ``_key`` order, with the integer group tables.
+
+    A breadth-first search from 1 multiplies each element x, once, on the
+    left by every generator s in floats, recording the left action
+    key(x) -> key(s @ x) and, for each element y it finds, the pair (s, x)
+    with y = s @ x.  ``mul[i][j]`` is the index of
+    ``elements[i] @ elements[j]``: the row of 1 is 0, 1, 2, ..., and the
+    row of y = s @ x is the row of x pushed through the action of s, since
+    (s @ x) @ z = s @ (x @ z).  Returns (elements, mul, inv, one, gens):
+    the inverse of each element, and the indices of 1 and the generators.
+    """
     gens = _generators(spec)
-    seen = {_key(((1, 0), (0, 1))): ((complex(1), complex(0)), (complex(0), complex(1)))}
-    boundary = list(seen.values())
+    one = _key(((1, 0), (0, 1)))
+    seen = {one: ((complex(1), complex(0)), (complex(0), complex(1)))}
+    action = [{} for _ in gens]  # key(x) -> key(s @ x), one dict per generator
+    parent = {}  # key(y) -> (generator position, key(x)) with y = s @ x
+    boundary = [one]
     while boundary:
         fresh = []
-        for g in gens:
-            for x in boundary:
-                y = _mat_mul(g, x)
-                k = _key(y)
+        for t, g in enumerate(gens):
+            for kx in boundary:
+                y = _mat_mul(g, seen[kx])
+                k = action[t][kx] = _key(y)
                 if k not in seen:
                     seen[k] = y
-                    fresh.append(y)
+                    parent[k] = (t, kx)
+                    fresh.append(k)
         boundary = fresh
         if len(seen) > 4 * spec.order():
             raise RoundingFailure("group closure did not terminate at the expected order")
-    elements = [seen[k] for k in sorted(seen)]
+    keys = sorted(seen)
+    elements = [seen[k] for k in keys]
     if len(elements) != spec.order():
         raise RoundingFailure(
             f"enumerated {len(elements)} elements, expected {spec.order()}"
@@ -199,52 +215,18 @@ def _enumerate_group(spec: GroupSpec):
                 break
             if _close(g, other, _INT_TOL):
                 raise RoundingFailure("two enumerated elements are numerically equal")
-    return elements
+
+    index = {k: i for i, k in enumerate(keys)}
+    left = [[index[act[k]] for k in keys] for act in action]
+    rows = {one: range(len(keys))}
+    for k, (t, kx) in parent.items():  # in discovery order: x before s @ x
+        rows[k] = [left[t][z] for z in rows[kx]]
+    mul = tuple(tuple(rows[k]) for k in keys)
+    e = index[one]
+    return elements, mul, tuple(row.index(e) for row in mul), e, tuple(act[e] for act in left)
 
 
 # -- exact group tables -------------------------------------------------------
-
-def _group_tables(spec: GroupSpec, elements):
-    """Integer Cayley table, inverses, and the indices of 1 and the generators.
-
-    ``mul[i][j]`` is the index of ``elements[i] @ elements[j]``.  Only the
-    right action of each generator is computed in floats (|G| * |gens|
-    products).  A breadth-first search from 1 writes each element j as
-    elements[p] @ s for an element p found before it and a generator s, so
-    column j of the table is column p pushed through the action of s:
-    x @ elements[j] = (x @ elements[p]) @ s.
-    """
-    index_of = {_key(g): i for i, g in enumerate(elements)}
-
-    def index(x):
-        try:
-            return index_of[_key(x)]
-        except KeyError:
-            raise RoundingFailure("a product left the enumerated group") from None
-
-    gens = _generators(spec)
-    actions = [[index(_mat_mul(g, s)) for g in elements] for s in gens]
-    if any(len(set(act)) != len(elements) for act in actions):
-        raise RoundingFailure("a generator's action on the group is not a permutation")
-    one = index(((1, 0), (0, 1)))
-    columns = [None] * len(elements)
-    columns[one] = list(range(len(elements)))
-    frontier = [one]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for act in actions:
-                j = act[p]
-                if columns[j] is None:
-                    columns[j] = [act[x] for x in columns[p]]
-                    fresh.append(j)
-        frontier = fresh
-    if None in columns:
-        raise RoundingFailure("the generators do not reach every element")
-    mul = tuple(zip(*columns))
-    inv = tuple(col.index(one) for col in columns)
-    return mul, inv, one, tuple(index(s) for s in gens)
-
 
 def _conjugacy_classes(mul, inv, one, gens):
     """Classes as sorted index tuples: the identity first, then by size.
@@ -539,8 +521,7 @@ class McKayData:
 
 def build_mckay(spec: GroupSpec) -> McKayData:
     """Enumerate the group and compute its McKay correspondence data."""
-    elements = _enumerate_group(spec)
-    mul, inv, one, gens = _group_tables(spec, elements)
+    elements, mul, inv, one, gens = _enumerate_group(spec)
     classes = _conjugacy_classes(mul, inv, one, gens)
     table, dims, adjacency = _character_table(elements, mul, inv, one, classes)
     if sum(d * d for d in dims) != len(elements):

@@ -51,9 +51,6 @@ class FramedQuiver:
     def originals(self):
         return tuple(a for a in self.arrows if a.original)
 
-    def vertices(self):
-        return (INF,) + self.rs.vertices
-
 
 def framed_quiver(rs: RootSystem) -> FramedQuiver:
     """Double the affine diagram and attach the framing pair b, b*."""

@@ -97,9 +97,6 @@ class SubmoduleNode:
     bases: tuple  # rows per vertex, in (inf, 0, 1, ...) order
     dims: DimVector
 
-    def basis_at(self, rep: FramedRep, vertex):
-        return self.bases[_vertex_order(rep).index(vertex)]
-
 
 @dataclass(frozen=True)
 class SubmoduleLattice:
@@ -125,7 +122,7 @@ class SubmoduleLattice:
         )
 
 
-def submodule_lattice(rep: FramedRep, dim_caps=None, node_cap: int = DEFAULT_NODE_CAP) -> SubmoduleLattice:
+def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> SubmoduleLattice:
     """All submodules of a representation over a small prime field.
 
     Refuses (LatticeTooLarge) rather than sampling whenever the total
@@ -135,9 +132,7 @@ def submodule_lattice(rep: FramedRep, dim_caps=None, node_cap: int = DEFAULT_NOD
     field = rep.field
     if not isinstance(field, PrimeField):
         raise UnsupportedField("lattice enumeration requires a prime field")
-    caps = dict(DEFAULT_DIM_CAPS)
-    caps.update(dim_caps or {})
-    cap = caps.get(field.p)
+    cap = DEFAULT_DIM_CAPS.get(field.p)
     if cap is None:
         raise LatticeTooLarge(f"no dimension cap configured for p = {field.p}")
     total = rep.dims.total()
@@ -226,7 +221,7 @@ class StabilityReport:
     caveat: str
 
 
-def stability_report(rep: FramedRep, theta: StabilityVector, dim_caps=None) -> StabilityReport:
+def stability_report(rep: FramedRep, theta: StabilityVector) -> StabilityReport:
     """Exhaustive (semi)stability check with a destabilizer witness.
 
     Semistable means every submodule pairs nonnegatively with theta;
@@ -234,7 +229,7 @@ def stability_report(rep: FramedRep, theta: StabilityVector, dim_caps=None) -> S
     submodules.  The witness is the first violating lattice node in
     (total dimension, dimension vector) order.
     """
-    lattice = submodule_lattice(rep, dim_caps=dim_caps)
+    lattice = submodule_lattice(rep)
     whole = rep.dims.total()
     caveat = (
         f"verdict certifies the {rep.field.name}-reduction; "
@@ -336,7 +331,7 @@ def _jordan_holder(lattice: SubmoduleLattice, slope, lo: int, hi: int, layer_slo
     return tuple(sorted(out))
 
 
-def hn_filtration(rep: FramedRep, theta: StabilityVector, dim_caps=None) -> HNFiltration:
+def hn_filtration(rep: FramedRep, theta: StabilityVector) -> HNFiltration:
     """Harder-Narasimhan filtration by repeated maximal destabilization.
 
     Each step takes, over the current base U, the submodule W whose
@@ -348,7 +343,7 @@ def hn_filtration(rep: FramedRep, theta: StabilityVector, dim_caps=None) -> HNFi
     """
     if rep.dims.total() == 0:
         return HNFiltration(layers=())
-    lattice = submodule_lattice(rep, dim_caps=dim_caps)
+    lattice = submodule_lattice(rep)
     slope_of = cache(partial(_slope, theta))  # quotients of many nodes share dims
     nodes = lattice.nodes
     top = len(nodes) - 1  # the whole module: the only node of full dimension

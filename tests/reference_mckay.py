@@ -17,8 +17,7 @@ from quiverstab.mckay import (
     CorrespondenceReport,
     GroupSpec,
     McKayData,
-    _close,
-    _enumerate_group,
+    _generators,
     _key,
     _mat_mul,
 )
@@ -26,6 +25,47 @@ from quiverstab.rootsys import RootSystem
 
 _MATCH_TOL = 1e-9
 _INT_TOL = 1e-6
+
+
+def _close(x, y, tol):
+    return all(
+        abs(a - b) <= tol for ra, rb in zip(x, y) for a, b in zip(ra, rb)
+    )
+
+
+def _enumerate_group(spec: GroupSpec):
+    gens = _generators(spec)
+    seen = {_key(((1, 0), (0, 1))): ((complex(1), complex(0)), (complex(0), complex(1)))}
+    boundary = list(seen.values())
+    while boundary:
+        fresh = []
+        for g in gens:
+            for x in boundary:
+                y = _mat_mul(g, x)
+                k = _key(y)
+                if k not in seen:
+                    seen[k] = y
+                    fresh.append(y)
+        boundary = fresh
+        if len(seen) > 4 * spec.order():
+            raise RoundingFailure("group closure did not terminate at the expected order")
+    elements = [seen[k] for k in sorted(seen)]
+    if len(elements) != spec.order():
+        raise RoundingFailure(
+            f"enumerated {len(elements)} elements, expected {spec.order()}"
+        )
+    for idx, g in enumerate(elements):
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        if abs(det - 1) > _INT_TOL:
+            raise RoundingFailure("generator table produced a non-SL(2) element")
+        for other in elements[idx + 1 :]:
+            # sorted by _key, which leads with this entry rounded: no later
+            # element can be close once it is this far away
+            if other[0][0].real > g[0][0].real + 2 * _INT_TOL:
+                break
+            if _close(g, other, _INT_TOL):
+                raise RoundingFailure("two enumerated elements are numerically equal")
+    return elements
 
 
 def _mat_inv(x):

@@ -1,12 +1,16 @@
 """Command-line behavior, document round-trips, and exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quiverstab
 from quiverstab import craw_wye_theta, framed_orbit_sum
@@ -228,6 +232,9 @@ def test_malformed_documents(tmp_path, capsys):
     assert err.startswith("DocumentError")
 
 
+HUGE_PRIME = 100000000000000000039  # trial division would take about 10^10 steps
+
+
 def _fp_doc_with_entry(entry):
     return {
         "type": "A1", "n": 1, "field": "Fp", "p": 3,
@@ -252,22 +259,127 @@ def _fp_doc_with_entry(entry):
         (["mckay", "verify", "bd:x", "D4"], "InvalidRank"),
         (["mckay", "verify", "cyclic:1.5", "A1"], "InvalidRank"),
         (["mckay", "verify", "cyclic:1000", "A999"], "GroupTooLarge"),
+        (["rep", "check", "--rep", "{int_type_rep}"], "DocumentError"),
+        (["cone", "check", "--theta", "{int_type_theta}", "--cone", "F"], "DocumentError"),
+        (["rep", "check", "--rep", "{list_matrices}"], "DocumentError"),
+        (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{nowhere}/x.svg"],
+         "DocumentError"),
+        (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}",
+          "--table", "{nowhere}/x.tsv"], "DocumentError"),
+        (["theta", "craw-wye", "--type", "A2", "-n", "1", "--J", "0",
+          "--out", "{nowhere}/t.json"], "DocumentError"),
+        (["rep", "orbit-sum", "--type", "A1", "--points", "1,0",
+          "--out", "{nowhere}/r.json"], "DocumentError"),
+        (["rep", "check", "--rep", "{huge_p}"], "UnsupportedField"),
+        (["stab", "report", "--rep", "{huge_p}", "--theta", "{theta}"], "UnsupportedField"),
+        (["rep", "orbit-sum", "--type", "A1", "--points", "1,0",
+          "--field", f"F{HUGE_PRIME}"], "UnsupportedField"),
+        (["walls", "slice", "--type", "A2", "-n", "32", "--out", "{svg}"], "SliceTooLarge"),
+        (["cone", "check", "--theta", "{infinite_n}", "--cone", "F"], "DocumentError"),
+        (["rep", "check", "--rep", "{infinite_p}"], "DocumentError"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
          "group-order-word", "group-order-empty", "group-order-word-bd", "group-order-fraction",
-         "group-too-large"],
+         "group-too-large", "int-type-rep", "int-type-theta", "list-matrices",
+         "unwritable-slice-out", "unwritable-slice-table", "unwritable-craw-wye-out",
+         "unwritable-orbit-sum-out", "huge-prime-check", "huge-prime-report",
+         "huge-prime-flag", "slice-too-large", "infinite-n", "infinite-p"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
-    rep = tmp_path / "rep.json"
-    rep.write_text(json.dumps(_fp_doc_with_entry("1/3")))  # 3 divides the denominator
-    theta = tmp_path / "theta.json"
-    theta.write_text(json.dumps({"type": "A1", "n": 1, "entries": {"0": "1", "1": "1"}}))
-    bad_theta = tmp_path / "bad_theta.json"
-    bad_theta.write_text(json.dumps({"type": "A1", "n": 1, "entries": {"0": "1/0", "1": "1"}}))
-    paths = {"rep": rep, "theta": theta, "bad_theta": bad_theta, "svg": tmp_path / "x.svg"}
+    docs = {
+        "rep": _fp_doc_with_entry("1/3"),  # 3 divides the denominator
+        "theta": {"type": "A1", "n": 1, "entries": {"0": "1", "1": "1"}},
+        "bad_theta": {"type": "A1", "n": 1, "entries": {"0": "1/0", "1": "1"}},
+        "int_type_rep": {**_fp_doc_with_entry("1"), "type": 5},
+        "int_type_theta": {"type": 5, "n": 1, "entries": {"0": "1", "1": "1"}},
+        "list_matrices": {**_fp_doc_with_entry("1"), "matrices": [1]},
+        "huge_p": {**_fp_doc_with_entry("1"), "p": HUGE_PRIME},
+        "infinite_n": {"type": "A1", "n": float("inf"), "entries": {"0": "1", "1": "1"}},
+        "infinite_p": {**_fp_doc_with_entry("1"), "p": float("inf")},  # JSON Infinity
+    }
+    paths = {"svg": tmp_path / "x.svg", "nowhere": tmp_path / "missing"}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    start = time.monotonic()
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert time.monotonic() - start < 1.0  # a refusal stays cheap
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(error + ": ") and err.count("\n") == 1
+
+
+# -- mutated documents through every document-reading subcommand -------------
+
+A1, A2 = (quiverstab.build_root_system(quiverstab.DynkinType.parse(t)) for t in ("A1", "A2"))
+REPS = [rep_to_doc(framed_orbit_sum(A1, [(1, 0)], PrimeField(3)), n=1),
+        rep_to_doc(framed_orbit_sum(A2, [(1, 0)], QQ), n=1)]
+THETAS = [{"type": "A1", "n": 1, "entries": {"0": "1", "1": "-1/2"}},
+          {"type": "A2", "n": 1, "entries": {"0": "-1", "1": "1", "2": "1"}}]
+# a fresh object per draw, so no mutation can nest a value inside itself
+json_value = st.one_of(
+    st.integers(-1, 2), st.floats(-2, 2),
+    st.sampled_from(['null', 'true', 'Infinity', '""', '"x"', '"1/0"', '"2"', '"F3"', '[]',
+                     '[1]', '[["1"]]', '{}']).map(json.loads),
+)
+
+
+def _paths(doc, prefix=()):
+    """Every key or index path into a JSON document, parents before children."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, docs):
+    doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        action = draw(st.sampled_from(["swap", "drop", "huge_p"]))
+        if action == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "huge_p" and "field" in doc:
+            doc["field"] = "Fp"
+            doc["p"] = draw(st.sampled_from([HUGE_PRIME, 2**31 - 1, 2**31 + 11]))
+        else:
+            parent[key] = draw(json_value)
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["rep check", "stab report", "stab hn", "stab tangent", "cone check"]),
+    rep=mutated(REPS),
+    theta=mutated(THETAS),
+)
+def test_mutated_documents_exit_cleanly(tmp_path_factory, command, rep, theta):
+    tmp = tmp_path_factory.mktemp("docs")
+    rep_file, theta_file = tmp / "rep.json", tmp / "theta.json"
+    rep_file.write_text(json.dumps(rep))
+    theta_file.write_text(json.dumps(theta))
+    argv = command.split()
+    if command == "cone check":
+        argv += ["--theta", str(theta_file), "--cone", "F"]
+    else:
+        argv += ["--rep", str(rep_file)]
+        if command in ("stab report", "stab hn"):
+            argv += ["--theta", str(theta_file)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

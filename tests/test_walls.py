@@ -19,7 +19,7 @@ from quiverstab import (
     sign_vector,
 )
 from quiverstab.cli import main
-from quiverstab.errors import ContextMismatch, DegeneratePlane
+from quiverstab.errors import ContextMismatch, DegeneratePlane, SamplerExhausted
 from quiverstab.walls import (
     Hyperplane,
     SlicePlane,
@@ -205,6 +205,31 @@ def test_generic_relint_point_zero_set(rs_a2):
         }
         assert zeros == expected
         assert set(forced) == expected
+
+
+def test_generic_relint_point_finds_an_implicit_equality(rs_a2):
+    # x1 >= 0 and -x1 >= 0 force x1 = 0 without an explicit "=" row
+    system = [((0, 1, 0), ">="), ((0, -1, 0), ">="), ((1, 1, 1), ">")]
+    avoid = [(0, 1, 0), (1, 0, 0), (0, 0, 1), (1, -1, 1), (0, 1, 1)]
+    theta, forced = generic_relint_point(rs_a2, 2, system, avoid)
+    assert forced == ((0, 1, 0),)
+    assert all(theta.value(c) != 0 for c in avoid[1:])
+    assert theta.entries[1] == 0 and theta.delta_value() > 0
+
+
+def test_generic_relint_point_infeasible_and_unconstrained(rs_a2):
+    empty = [((1, 0, 0), ">"), ((-1, 0, 0), ">")]
+    assert generic_relint_point(rs_a2, 1, empty, [(1, 0, 0)]) == (None, ())
+    avoid = [(1, 0, 0), (0, 1, 0), (1, -1, 0), (1, 1, 1), (0, 0, 0)]
+    theta, forced = generic_relint_point(rs_a2, 1, [], avoid)
+    assert forced == ((0, 0, 0),)
+    assert all(theta.value(c) != 0 for c in avoid[:-1])
+
+
+def test_sampler_refuses_a_single_point_set(rs_a1):
+    point = [((1, 0), ">="), ((-1, 0), ">="), ((0, 1), "=")]
+    with pytest.raises(SamplerExhausted):
+        sample_interior_points(rs_a1, 1, point, 2, seed=0)
 
 
 def test_render_slice_a1_four_cells(rs_a1):
