@@ -93,6 +93,10 @@ class LatticeTooLarge(DomainError):
     pass
 
 
+class DimensionTooLarge(DomainError):
+    """The total dimension exceeds the cap of :mod:`quiverstab.quiverrep`."""
+
+
 class NoFraming(DomainError):
     pass
 

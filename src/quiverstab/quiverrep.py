@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    DimensionTooLarge,
     DuplicateOrbit,
     EmptyInput,
     IndexMismatch,
@@ -26,6 +27,14 @@ from .fieldops import PrimeField, identity, invert, mat_coerce, mat_mul, mat_sub
 from .rootsys import RootSystem
 
 INF = "inf"
+
+# Largest total dimension r + sum(v) of a representation; it keeps (1, delta)
+# for every type (E8 gives 31).  For a given total the slowest shape is A1
+# with the total split evenly.  On a 2-core host `stab tangent` takes 0.66 s
+# on the zero A1 (0, (16, 16)) document over Q and 2.7 s on the 15-point A1
+# orbit module (total 31); the zero A1 (1, (20, 20)) document takes 1.7 s,
+# and the dense Jacobian grows as the fourth power of the total.
+MAX_TOTAL_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,10 @@ class DimVector:
     def __post_init__(self):
         if self.r < 0 or any(x < 0 for x in self.v):
             raise IndexMismatch("dimension vectors are componentwise nonnegative")
+        if self.total() > MAX_TOTAL_DIM:
+            raise DimensionTooLarge(
+                f"total dimension {self.total()} is more than {MAX_TOTAL_DIM}"
+            )
 
     def total(self) -> int:
         return self.r + sum(self.v)
@@ -201,6 +214,8 @@ def framed_orbit_sum(rs: RootSystem, points, field) -> FramedRep:
         raise UnsupportedField(
             f"orbit structure degenerates over F{field.p} when {field.p} divides {m}"
         )
+    n = len(points)
+    dims = DimVector(1, (n,) * m)  # refuses too many points before any scan
     coords = []
     for x, y in points:
         fx, fy = field.coerce(x), field.coerce(y)
@@ -214,9 +229,7 @@ def framed_orbit_sum(rs: RootSystem, points, field) -> FramedRep:
             raise DuplicateOrbit("two points lie in one group orbit")
         seen.append(inv)
 
-    n = len(coords)
     quiver = framed_quiver(rs)
-    dims = DimVector(1, (n,) * m)
 
     def diag(values):
         return tuple(
@@ -284,12 +297,7 @@ def reduce_rep(rep: FramedRep, p: int) -> FramedRep:
     result is again a module representation; stability certified for the
     reduction does not lift automatically.
     """
-    field = PrimeField(p)
-    matrices = {
-        label: tuple(tuple(field.coerce(x) for x in row) for row in mat)
-        for label, mat in rep.matrices.items()
-    }
-    return FramedRep(rep.quiver, field, rep.dims, matrices)
+    return FramedRep(rep.quiver, PrimeField(p), rep.dims, rep.matrices)
 
 
 def gauge_conjugate(rep: FramedRep, gauge) -> FramedRep:

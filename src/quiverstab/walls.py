@@ -394,6 +394,56 @@ MAX_SLICE_LINES = 100
 _PALETTE = ("#f4a259", "#8cb369", "#5b8e7d", "#bc4b51", "#f4e285", "#a26769")
 
 
+def _pairings(plane: SlicePlane, coeffs):
+    """(a, b, c): a wall pairs with base + s*d1 + t*d2 as a*s + b*t + c."""
+    return tuple(dot(coeffs, v) for v in (plane.d1, plane.d2, plane.base))
+
+
+def _roots(f0, step, span: range) -> range:
+    """The m in ``span`` where f0 + m * step vanishes: all of them, or at most one."""
+    if step == 0:
+        return span if f0 == 0 else range(0)
+    m = -f0 / step
+    if m.denominator == 1 and span.start <= m < span.stop:
+        return range(m.numerator, m.numerator + 1)
+    return range(0)
+
+
+def _check_slice(rs: RootSystem, n: int, plane: SlicePlane):
+    """Refuse a slice before building its arrangement, in O(|positive roots|).
+
+    The arrangement is delta and the families m*delta + alpha (0 <= m < n)
+    and m*delta - alpha (1 <= m < n) over the positive roots, all distinct
+    and primitive.  Along a family the pairings with d1, d2 and the base are
+    affine in m, so the family misses or contains the plane for every m,
+    for at most one m, or for none.  A wall that contains the plane raises
+    DegeneratePlane, naming the first such wall in arrangement order;
+    otherwise more than MAX_SLICE_LINES walls that meet the plane raise
+    SliceTooLarge.
+    """
+    if n < 1:
+        raise ContextMismatch("n must be at least 1")
+    step = _pairings(plane, rs.delta)
+    off_plane = int(step[:2] == (0, 0))  # walls that miss or contain the plane
+    containing = [rs.delta] if step == (0, 0, 0) else []
+    for alpha in rs.positive_roots:
+        root = _pairings(plane, m_delta_plus_root(rs, 0, alpha, 1).coeffs)
+        for sign, span in ((1, range(0, n)), (-1, range(1, n))):
+            for f0, s in zip(root[:2], step[:2]):
+                span = _roots(sign * f0, s, span)
+            off_plane += len(span)
+            inside = _roots(sign * root[2], step[2], span)
+            if inside:
+                containing.append(m_delta_plus_root(rs, inside[0], alpha, sign).coeffs)
+    if containing:
+        raise DegeneratePlane(f"wall {min(containing)} contains the whole slice plane")
+    count = 1 + (2 * n - 1) * len(rs.positive_roots) - off_plane
+    if count > MAX_SLICE_LINES:
+        raise SliceTooLarge(
+            f"{count} walls meet the slice plane, more than {MAX_SLICE_LINES}"
+        )
+
+
 def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels) -> SliceResult:
     """Intersect the walls with the plane, fill labeled cells, emit SVG + TSV.
 
@@ -402,23 +452,13 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels) -> SliceResu
     centroid.  The SVG canvas is fixed at 600 x 600 with three-decimal
     coordinates, so identical inputs give identical bytes.
     """
+    _check_slice(rs, n, plane)
     arr = build_arrangement(rs, n)
     lines = []
     for h in arr.hyperplanes:
-        a = dot(h.coeffs, plane.d1)
-        b = dot(h.coeffs, plane.d2)
-        c0 = dot(h.coeffs, plane.base)
-        if a == 0 and b == 0:
-            if c0 == 0:
-                raise DegeneratePlane(
-                    f"wall {h.coeffs} contains the whole slice plane"
-                )
-            continue  # wall misses the plane entirely
-        lines.append((a, b, c0))
-    if len(lines) > MAX_SLICE_LINES:
-        raise SliceTooLarge(
-            f"{len(lines)} walls meet the slice plane, more than {MAX_SLICE_LINES}"
-        )
+        line = _pairings(plane, h.coeffs)
+        if line[:2] != (0, 0):  # otherwise the wall misses the plane
+            lines.append(line)
 
     cycles = geom2d.arrangement_cells(lines, plane.window)
     context = tuple(n * d for d in rs.delta)

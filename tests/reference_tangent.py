@@ -5,7 +5,9 @@ of one arrow entry, f(x + E) - f(x) - f(E) is exactly the directional
 derivative because the relations are quadratic.  Each column costs two
 representation builds and two full ``moment_defect`` evaluations.  Slow
 but independent of the closed form; ``test_tangent_oracle.py`` compares
-the two.
+the two.  It also keeps the rank of the infinitesimal gauge action as a
+second elimination, which ``stabcheck`` replaces by the equal rank of the
+relation Jacobian.
 """
 
 from __future__ import annotations
@@ -59,17 +61,14 @@ def reference_jacobian(rep: FramedRep):
     return columns
 
 
-def reference_tangent_dimension(rep: FramedRep) -> int:
-    """dim ker(relation linearisation) - gauge dimension + stabilizer dimension."""
-    if not isinstance(rep.field, Rationals):
-        raise UnsupportedField("tangent computation runs over the rationals")
-    if not is_pi_bar_module(rep):
-        raise NotAModule("relations do not vanish at this representation")
-    field = rep.field
-    columns = reference_jacobian(rep)
-    dmu_rank = rank(field, tuple(zip(*columns))) if columns else 0
+def reference_gauge_columns(rep: FramedRep):
+    """Columns of the infinitesimal gauge action, one per affine gauge entry.
 
-    gauge_dim = sum(v * v for v in rep.dims.v)
+    The unit E_ij at an affine vertex moves each arrow x by E_ij x at its
+    head and by -x E_ij at its tail; each column lists those blocks over
+    the arrows in quiver order, every block row-major.
+    """
+    field = rep.field
     stab_cols = []
     for vertex in rep.quiver.rs.vertices:
         d = rep.dims.v[vertex]
@@ -88,6 +87,21 @@ def reference_tangent_dimension(rep: FramedRep) -> int:
                             block[r][j] = field.sub(block[r][j], x[r][i])
                     col.extend(v for row in block for v in row)
                 stab_cols.append(tuple(col))
+    return stab_cols
+
+
+def reference_tangent_dimension(rep: FramedRep) -> int:
+    """dim ker(relation linearisation) - gauge dimension + stabilizer dimension."""
+    if not isinstance(rep.field, Rationals):
+        raise UnsupportedField("tangent computation runs over the rationals")
+    if not is_pi_bar_module(rep):
+        raise NotAModule("relations do not vanish at this representation")
+    field = rep.field
+    columns = reference_jacobian(rep)
+    dmu_rank = rank(field, tuple(zip(*columns))) if columns else 0
+
+    gauge_dim = sum(v * v for v in rep.dims.v)
+    stab_cols = reference_gauge_columns(rep)
     stab_rank = rank(field, tuple(zip(*stab_cols))) if stab_cols else 0
     stab_dim = gauge_dim - stab_rank
 

@@ -235,6 +235,11 @@ def test_malformed_documents(tmp_path, capsys):
 HUGE_PRIME = 100000000000000000039  # trial division would take about 10^10 steps
 
 
+MANY_POINTS = ";".join(f"1,{k}" for k in range(1, 101))  # 100 free orbits, total 201
+# the A2 plane spanning the wall 5e8*delta + alpha_1 = (m, m + 1, m)
+IN_A_WALL = "base=1,0,-1;d1=1,0,-1;d2=500000001,-500000000,0;window=0,1,0,1"
+
+
 def _fp_doc_with_entry(entry):
     return {
         "type": "A1", "n": 1, "field": "Fp", "p": 3,
@@ -277,6 +282,13 @@ def _fp_doc_with_entry(entry):
         (["walls", "slice", "--type", "A2", "-n", "32", "--out", "{svg}"], "SliceTooLarge"),
         (["cone", "check", "--theta", "{infinite_n}", "--cone", "F"], "DocumentError"),
         (["rep", "check", "--rep", "{infinite_p}"], "DocumentError"),
+        (["stab", "tangent", "--rep", "{big_dims}"], "DimensionTooLarge"),
+        (["rep", "check", "--rep", "{big_dims}"], "DimensionTooLarge"),
+        (["rep", "orbit-sum", "--type", "A1", "--points", MANY_POINTS], "DimensionTooLarge"),
+        (["walls", "slice", "--type", "A2", "-n", "1000000000", "--out", "{svg}"],
+         "SliceTooLarge"),
+        (["walls", "slice", "--type", "A2", "-n", "1000000000", "--out", "{svg}",
+          "--plane", IN_A_WALL], "DegeneratePlane"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -284,7 +296,9 @@ def _fp_doc_with_entry(entry):
          "group-too-large", "int-type-rep", "int-type-theta", "list-matrices",
          "unwritable-slice-out", "unwritable-slice-table", "unwritable-craw-wye-out",
          "unwritable-orbit-sum-out", "huge-prime-check", "huge-prime-report",
-         "huge-prime-flag", "slice-too-large", "infinite-n", "infinite-p"],
+         "huge-prime-flag", "slice-too-large", "infinite-n", "infinite-p",
+         "big-dims-tangent", "big-dims-check", "too-many-points", "slice-huge-n",
+         "slice-huge-n-in-a-wall"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -297,6 +311,7 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
         "huge_p": {**_fp_doc_with_entry("1"), "p": HUGE_PRIME},
         "infinite_n": {"type": "A1", "n": float("inf"), "entries": {"0": "1", "1": "1"}},
         "infinite_p": {**_fp_doc_with_entry("1"), "p": float("inf")},  # JSON Infinity
+        "big_dims": {"type": "A1", "n": 1, "field": "Q", "dims": {"inf": 1, "0": 20, "1": 20}},
     }
     paths = {"svg": tmp_path / "x.svg", "nowhere": tmp_path / "missing"}
     for name, doc in docs.items():
@@ -309,6 +324,18 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(error + ": ") and err.count("\n") == 1
+
+
+def test_huge_n_slice_refusals_are_exact(capsys, tmp_path):
+    svg = str(tmp_path / "x.svg")
+    n = 10**9
+    _, _, err = run(capsys, "walls", "slice", "--type", "A2", "-n", str(n), "--out", svg)
+    # 1 + (2n - 1) * 3 walls; only delta + alpha_1 + alpha_2 = (1, 2, 2) misses the figure plane
+    assert err == f"SliceTooLarge: {3 * (2 * n - 1)} walls meet the slice plane, more than 100\n"
+    _, _, err = run(capsys, "walls", "slice", "--type", "A2", "-n", str(n), "--out", svg,
+                    "--plane", IN_A_WALL)
+    m = 500000000
+    assert err == f"DegeneratePlane: wall ({m}, {m + 1}, {m}) contains the whole slice plane\n"
 
 
 # -- mutated documents through every document-reading subcommand -------------
