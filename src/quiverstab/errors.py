@@ -22,7 +22,7 @@ class RoundingFailure(DomainError):
 
 
 class GroupTooLarge(DomainError):
-    """The group order exceeds the cap of :mod:`quiverstab.mckay`."""
+    """The group order exceeds ``rootsys.MAX_GROUP_ORDER``."""
 
 
 class NoIsomorphism(DomainError):

@@ -29,15 +29,10 @@ from dataclasses import dataclass
 
 from .errors import GroupTooLarge, InvalidRank, NoIsomorphism, RoundingFailure
 from .fieldops import PrimeField, _is_prime, nullspace, rref
-from .rootsys import DynkinType, RootSystem
+from .rootsys import MAX_GROUP_ORDER, DynkinType, RootSystem
 
 _KEY_DIGITS = 9
 _INT_TOL = 1e-6
-# Largest group order accepted: the order of 2I.  The cost of build_mckay
-# grows about as m^2.7 on cyclic:m (the class structure constants alone
-# hold m^3 ints): cyclic:100 took 1.05 s and 26 MB peak RSS, cyclic:150
-# 3.1 s and 51 MB on a 2-core host.
-MAX_GROUP_ORDER = 120
 
 _FAMILIES = (
     "cyclic",

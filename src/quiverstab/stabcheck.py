@@ -8,7 +8,9 @@ per-vertex seed lines; every node is a sum of atoms, so closing the atoms
 under joins with one atom at a time reaches the whole lattice, which keeps
 the search exact and exhaustive at desk scale.  Each node records the set
 of atoms it contains as an int bitset, and containment of nodes is
-containment of their bitsets.
+containment of their bitsets.  Within one build, each distinct per-vertex
+join is eliminated once and each distinct per-vertex subspace is tested
+against the atom seeds once; both memos are dropped when the build returns.
 
 Stability verdicts and destabilizer witnesses come from walking that
 lattice.  Harder-Narasimhan and Jordan-Hoelder filtrations walk intervals
@@ -130,7 +132,14 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
 
     Refuses (LatticeTooLarge) rather than sampling whenever the total
     dimension exceeds the per-prime cap or the node count exceeds
-    ``node_cap``, so a returned lattice is always complete.
+    ``node_cap``, so a returned lattice is always complete; the refusal
+    names the atoms, nodes and distinct joins it had reached.
+
+    Joins and atom memberships are memoised for the length of the build:
+    the join of a node with an atom is the node with its subspace at each
+    of the atom's vertices replaced by their sum, eliminated once per
+    distinct pair of subspaces, and a node's bitset is the OR of per-vertex
+    bitsets, computed once per (vertex, subspace).
     """
     field = rep.field
     if not isinstance(field, PrimeField):
@@ -145,19 +154,24 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
         )
 
     order = _vertex_order(rep)
-    nodes = {}  # signature -> (atom bitset, pivot columns per vertex), set once atoms are known
+    nodes = {}  # signature -> atom bitset, set once atoms are known
+    atoms = []  # per atom bit, the signature of the spin of its seed line
+    seeds = [[] for _ in order]  # per vertex position, (atom bit, seed) of the atoms seeded there
+    joined = {}  # (subspace, atom rows) at one vertex -> echelon rows of their sum
 
     def add(sig):
         if sig not in nodes:
             if len(nodes) >= node_cap:
-                raise LatticeTooLarge(f"lattice exceeds {node_cap} nodes")
+                raise LatticeTooLarge(
+                    f"lattice exceeds {node_cap} nodes: {len(atoms)} atoms, "
+                    f"{len(nodes)} nodes found, {len(joined)} distinct joins eliminated"
+                )
             nodes[sig] = None
             return sig
         return None
 
     zero = tuple(() for _ in order)
     add(zero)
-    atoms = []  # (vertex position, seed vector, signature of its spin)
     for k, vertex in enumerate(order):
         d = rep.dims.at(vertex)
         for vec in itertools.product(range(field.p), repeat=d):
@@ -166,47 +180,54 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
                 continue
             sig = add(_signature(rep, spin(rep, [(vertex, vec)])))
             if sig is not None:
-                atoms.append((k, vec, sig))
+                seeds[k].append((len(atoms), vec))
+                atoms.append(sig)
 
-    def mask_of(sig, pivots, known):
-        """Bitset of the atoms in node sig; the atoms in ``known`` are given."""
-        mask = known
-        for bit, (k, seed, _) in enumerate(atoms):
-            if not mask >> bit & 1 and not any(reduce_against(field, sig[k], pivots[k], seed)):
-                mask |= 1 << bit
+    # A node is arrow-invariant, so it contains an atom exactly when it
+    # contains the atom's seed at the atom's vertex: its bitset is the OR over
+    # vertices k of held[k][rows at k], the vertex-k atoms whose seeds lie there.
+    held = [{} for _ in order]
+
+    def mask_of(sig):
+        mask = 0
+        for k, rows in enumerate(sig):
+            bits = held[k].get(rows)
+            if bits is None:
+                pivots = tuple(leading_index(field, row) for row in rows)
+                bits = held[k][rows] = sum(
+                    1 << bit for bit, seed in seeds[k]
+                    if not any(reduce_against(field, rows, pivots, seed))
+                )
+            mask |= bits
         return mask
 
-    def pivots_of(sig):
-        return tuple(tuple(leading_index(field, row) for row in rows) for rows in sig)
-
-    nodes[zero] = (0, pivots_of(zero))
-    for bit, (_, _, sig) in enumerate(atoms):
-        pivots = pivots_of(sig)
-        nodes[sig] = (mask_of(sig, pivots, 1 << bit), pivots)
+    nodes[zero] = 0
+    for sig in atoms:
+        nodes[sig] = mask_of(sig)
     # the join with atom a touches only the vertices where a is nonzero
-    supports = [
-        (nodes[sig][0], [(k, rows) for k, rows in enumerate(sig) if rows])
-        for _, _, sig in atoms
-    ]
+    supports = [[(k, rows) for k, rows in enumerate(sig) if rows] for sig in atoms]
 
-    fresh = [sig for _, _, sig in atoms]
+    fresh = list(atoms)
     while fresh:
         frontier, fresh = fresh, []
         for sig_a in frontier:
-            mask_a, pivots_a = nodes[sig_a]
-            for bit, (atom_mask, support) in enumerate(supports):
+            mask_a = nodes[sig_a]
+            for bit, support in enumerate(supports):
                 if mask_a >> bit & 1:
                     continue
-                sig, pivots = list(sig_a), list(pivots_a)
+                sig = list(sig_a)
                 for k, rows in support:
-                    sig[k], pivots[k] = rref(field, sig_a[k] + rows)
+                    key = (sig_a[k], rows)
+                    if key not in joined:
+                        joined[key] = rref(field, sig_a[k] + rows)[0]
+                    sig[k] = joined[key]
                 sig = add(tuple(sig))
                 if sig is not None:
-                    nodes[sig] = (mask_of(sig, pivots, mask_a | atom_mask), tuple(pivots))
+                    nodes[sig] = mask_of(sig)
                     fresh.append(sig)
 
     entries = sorted(
-        ((SubmoduleNode(bases=sig, dims=_sig_dims(sig)), mask) for sig, (mask, _) in nodes.items()),
+        ((SubmoduleNode(bases=sig, dims=_sig_dims(sig)), mask) for sig, mask in nodes.items()),
         key=lambda entry: (entry[0].dims.total(), entry[0].dims.key(), entry[0].bases),
     )
     return SubmoduleLattice(
@@ -238,11 +259,12 @@ def stability_report(rep: FramedRep, theta: StabilityVector) -> StabilityReport:
         f"verdict certifies the {rep.field.name}-reduction; "
         "characteristic-zero stability of a lift is not implied"
     )
+    value = cache(partial(pair_dim, theta))  # many nodes share a dimension vector
     for node in lattice.nodes:
-        if pair_dim(theta, node.dims) < 0:
+        if value(node.dims) < 0:
             return StabilityReport(False, False, node, caveat)
     for node in lattice.nodes:
-        if 0 < node.dims.total() < whole and pair_dim(theta, node.dims) == 0:
+        if 0 < node.dims.total() < whole and value(node.dims) == 0:
             return StabilityReport(True, False, node, caveat)
     return StabilityReport(True, True, None, caveat)
 

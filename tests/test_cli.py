@@ -289,6 +289,13 @@ def _fp_doc_with_entry(entry):
          "SliceTooLarge"),
         (["walls", "slice", "--type", "A2", "-n", "1000000000", "--out", "{svg}",
           "--plane", IN_A_WALL], "DegeneratePlane"),
+        (["theta", "craw-wye", "--type", "A99999999", "-n", "1", "--J", "0"], "InvalidRank"),
+        (["theta", "craw-wye", "--type", "A120", "-n", "1", "--J", "0"], "InvalidRank"),
+        (["rep", "orbit-sum", "--type", "D33", "--points", "1,0"], "InvalidRank"),
+        (["rep", "check", "--rep", "{huge_type_rep}"], "InvalidRank"),
+        (["theta", "craw-wye", "--type", "A\u00b2", "-n", "1", "--J", "0"], "InvalidRank"),
+        (["theta", "craw-wye", "--type", "A" + "1" * 5000, "-n", "1", "--J", "0"],
+         "InvalidRank"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -298,7 +305,8 @@ def _fp_doc_with_entry(entry):
          "unwritable-orbit-sum-out", "huge-prime-check", "huge-prime-report",
          "huge-prime-flag", "slice-too-large", "infinite-n", "infinite-p",
          "big-dims-tangent", "big-dims-check", "too-many-points", "slice-huge-n",
-         "slice-huge-n-in-a-wall"],
+         "slice-huge-n-in-a-wall", "rank-huge", "rank-over-cap", "rank-over-cap-d",
+         "rank-over-cap-doc", "rank-superscript-digit", "rank-5000-digits"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -312,6 +320,7 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
         "infinite_n": {"type": "A1", "n": float("inf"), "entries": {"0": "1", "1": "1"}},
         "infinite_p": {**_fp_doc_with_entry("1"), "p": float("inf")},  # JSON Infinity
         "big_dims": {"type": "A1", "n": 1, "field": "Q", "dims": {"inf": 1, "0": 20, "1": 20}},
+        "huge_type_rep": {**_fp_doc_with_entry("1"), "type": "A99999"},
     }
     paths = {"svg": tmp_path / "x.svg", "nowhere": tmp_path / "missing"}
     for name, doc in docs.items():
@@ -408,5 +417,61 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, command, rep, theta):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# -- the flag-only commands -------------------------------------------------------
+
+# ranks near the cap stay out of the draws: A119 builds its root system in about 19 s
+dynkin_label = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("ADEXade"), st.integers(-1, 12)),
+    st.sampled_from(["A120", "D33", "A99999999", "A", "", " a2 ", "A\u00b2",
+                     "A1.5", "-A1"]),
+    st.text(max_size=3),
+)
+integer_text = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["1000000000", "x", ""]))
+vertex_set = st.one_of(
+    st.lists(st.integers(-1, 13), max_size=3).map(lambda vs: ",".join(map(str, vs))),
+    st.sampled_from(["0,0", "x", "0;1", ",", " 1 "]),
+    st.text(max_size=3),
+)
+coordinate = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1/2", "-2/3", "99999999999999999999", "1/0", "0.5", "x", ""]),
+)
+point_list = st.one_of(
+    st.lists(st.tuples(coordinate, coordinate), max_size=3).map(
+        lambda pts: ";".join(f"{x},{y}" for x, y in pts)),
+    st.sampled_from(["1", "1,2,3", "1;;2,3", "0,0"]),
+    st.text(max_size=4),
+)
+field_text = st.one_of(
+    st.sampled_from(["Q", "F2", "F3", "F7", "F4", "F1", "F0", "F-3", "Fx", "F", "q", "f5",
+                     f"F{HUGE_PRIME}", f"F{2**31 - 1}"]),
+    st.text(max_size=3),
+)
+craw_wye_argv = st.builds(
+    lambda t, n, J: ["theta", "craw-wye", f"--type={t}", f"-n{n}", f"--J={J}"],
+    dynkin_label, integer_text, vertex_set,
+)
+orbit_sum_argv = st.builds(
+    lambda t, n, pts, f: ["rep", "orbit-sum", f"--type={t}", f"--points={pts}", f"--field={f}"]
+    + ([] if n is None else [f"-n{n}"]),
+    dynkin_label, st.none() | integer_text, point_list, field_text,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=st.one_of(craw_wye_argv, orbit_sum_argv))
+def test_flag_only_commands_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert time.monotonic() - start < 1.0
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

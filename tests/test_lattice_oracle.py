@@ -7,6 +7,7 @@ with witnesses, and full HN filtrations at every chamber theta_J.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from corpus import build_corpus
 from reference_lattice import reference_hn, reference_lattice, reference_report
 
 from quiverstab import (
+    INF,
     DimVector,
     DynkinType,
     FramedRep,
@@ -21,11 +23,12 @@ from quiverstab import (
     craw_wye_theta,
     framed_quiver,
     hn_filtration,
+    spin,
     stability_report,
     submodule_lattice,
 )
 from quiverstab.errors import LatticeTooLarge
-from quiverstab.fieldops import PrimeField
+from quiverstab.fieldops import PrimeField, rank
 
 
 def _zero_arrow(type_label, v, p):
@@ -44,9 +47,10 @@ def _chamber_thetas(rep, n):
     ]
 
 
-# zero-arrow modules (1, n delta) as (type, n, v = n delta, p); the last has 50 nodes
+# zero-arrow modules (1, n delta) as (type, n, v = n delta, p); the last two have 50
+# and 128 nodes
 ZERO_ARROW = [("A1", 1, (1, 1), 2), ("A1", 1, (1, 1), 3), ("A2", 1, (1, 1, 1), 2),
-              ("A2", 1, (1, 1, 1), 3), ("A1", 2, (2, 2), 2)]
+              ("A2", 1, (1, 1, 1), 3), ("A1", 2, (2, 2), 2), ("A1", 2, (2, 2), 5)]
 CASES = [(label, rep, n) for label, _, n, rep in build_corpus(12)] + [
     (f"zero-{t}-n{n}-F{p}", _zero_arrow(t, v, p), n) for t, n, v, p in ZERO_ARROW
 ]
@@ -104,3 +108,54 @@ def test_zero_arrow_lattice_near_the_cap():
     assert len(lattice.relations) == expected_pairs - expected_nodes
     with pytest.raises(LatticeTooLarge):
         submodule_lattice(rep, node_cap=expected_nodes - 1)
+
+
+def test_default_cap_refusal_is_cheap():
+    # 8,978 nodes uncapped; 1 + 15 + 15 atoms from the lines of F_2^1, F_2^4, F_2^4
+    rep = _zero_arrow("A1", (4, 4), 2)
+    start = time.monotonic()
+    with pytest.raises(LatticeTooLarge) as info:
+        submodule_lattice(rep)
+    assert time.monotonic() - start < 2.0
+    message = str(info.value)
+    assert message.startswith("lattice exceeds 4096 nodes: 31 atoms, 4096 nodes found, ")
+    assert message.endswith(" distinct joins eliminated")
+
+
+# -- atom bitsets against ranks alone --------------------------------------------------
+
+def _atoms(rep):
+    """The distinct spins of the per-vertex seed lines, numbered as the lattice numbers them."""
+    order = (INF,) + rep.quiver.rs.vertices
+    atoms = []
+    for vertex in order:
+        for vec in itertools.product(range(rep.field.p), repeat=rep.dims.at(vertex)):
+            if next((x for x in vec if x), None) == 1:
+                span = spin(rep, [(vertex, vec)])
+                sig = tuple(span[v] for v in order)
+                if sig not in atoms:
+                    atoms.append(sig)
+    return atoms
+
+
+MASK_CASES = [(label, rep) for label, _, _, rep in build_corpus(12)] + [
+    ("zero-A1-F2-512", _zero_arrow("A1", (3, 3), 2)),
+    ("zero-A2-F3-432", _zero_arrow("A2", (2, 2, 2), 3)),
+]
+
+
+@pytest.mark.parametrize("label, rep", MASK_CASES, ids=[case[0] for case in MASK_CASES])
+def test_masks_match_rank_containment(label, rep):
+    # atom a lies in node x exactly when adding a's rows to x's basis at every
+    # vertex leaves the rank there unchanged
+    lattice = submodule_lattice(rep)
+    atoms = _atoms(rep)
+    field = rep.field
+    for node, mask in zip(lattice.nodes, lattice.masks):
+        assert mask >> len(atoms) == 0
+        for bit, atom in enumerate(atoms):
+            contained = all(
+                rank(field, rows) == rank(field, rows + extra)
+                for rows, extra in zip(node.bases, atom)
+            )
+            assert contained == bool(mask >> bit & 1)

@@ -8,7 +8,13 @@ from hypothesis import given, strategies as st
 
 from quiverstab import DynkinType, build_root_system, make_theta, pair
 from quiverstab.errors import InvalidRank, MismatchedRootSystem
-from quiverstab.rootsys import RootLatticeVector, delta_vector, embed_finite_root
+from quiverstab.mckay import GroupSpec
+from quiverstab.rootsys import (
+    MAX_GROUP_ORDER,
+    RootLatticeVector,
+    delta_vector,
+    embed_finite_root,
+)
 
 # (family, rank) -> (positive root count, delta in Bourbaki order with vertex 0 first)
 CLASSICAL = {
@@ -87,11 +93,20 @@ def test_affine_extension_shapes():
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("X", 2)],
+    [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("X", 2), ("A", 120), ("D", 33)],
 )
 def test_invalid_ranks(family, rank):
     with pytest.raises(InvalidRank):
         DynkinType(family, rank)
+
+
+def test_rank_cap_is_the_mckay_group_order_cap():
+    # A_n pairs with the cyclic group of order n + 1, D_n with the binary
+    # dihedral group of order 4(n - 2), so the largest groups give A119 and D32
+    largest = [GroupSpec("cyclic", MAX_GROUP_ORDER), GroupSpec("binary_dihedral", 30)]
+    assert [spec.designated_dynkin() for spec in largest] == [
+        DynkinType("A", 119), DynkinType("D", 32)
+    ]
 
 
 def test_parse_labels():
