@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -38,6 +39,31 @@ class DocumentError(DomainError):
 _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
 
 
+# Largest decimal exponent accepted in a rational literal.  Fraction("1e9999999")
+# builds a ten-million-digit integer (15 s, and ten times longer per extra
+# digit), while Python refuses plain integers of over 4,300 digits; this
+# applies the same limit to exponents.
+MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _rational(value) -> Fraction:
+    """``Fraction(value)`` for a document entry or flag, with a bounded exponent.
+
+    Raises DocumentError for a decimal exponent of magnitude over
+    MAX_EXPONENT; an exponent of over 4,300 digits raises ValueError, as
+    an integer of that length does, which every caller reports as malformed.
+    """
+    if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        if match and abs(int(match.group(1))) > MAX_EXPONENT:
+            raise DocumentError(
+                f"a rational literal has a decimal exponent beyond {MAX_EXPONENT} in magnitude"
+            )
+    return Fraction(value)
+
+
 # -- documents ----------------------------------------------------------------
 
 def theta_to_doc(theta) -> dict:
@@ -54,7 +80,7 @@ def theta_from_doc(doc: dict):
     try:
         rs = build_root_system(DynkinType.parse(doc["type"]))
         n = int(doc["n"])
-        entries = [Fraction(doc["entries"][str(i)]) for i in rs.vertices]
+        entries = [_rational(doc["entries"][str(i)]) for i in rs.vertices]
     except _MALFORMED as exc:
         raise DocumentError(f"malformed stability document: {exc}") from None
     return make_theta(rs, tuple(n * d for d in rs.delta), entries)
@@ -93,7 +119,7 @@ def rep_from_doc(doc: dict) -> FramedRep:
             tuple(int(doc["dims"][str(i)]) for i in rs.vertices),
         )
         matrices = {
-            label: [[Fraction(x) for x in row] for row in mat]
+            label: [[_rational(x) for x in row] for row in mat]
             for label, mat in doc.get("matrices", {}).items()
         }
     except DocumentError:
@@ -150,7 +176,7 @@ def _parse_field(tag: str):
 
 def _parse_fractions(text: str):
     try:
-        return tuple(Fraction(x) for x in text.split(","))
+        return tuple(_rational(x) for x in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise DocumentError(f"bad rational list {text!r}") from None
 

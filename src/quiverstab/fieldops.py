@@ -5,6 +5,9 @@ via :class:`fractions.Fraction`) and prime fields F_p (plain ints reduced
 mod p).  Matrices are immutable tuples of row tuples; all routines are
 pure functions.  Sizes in this package stay tiny (dimensions well under a
 hundred), so clarity beats asymptotics throughout.
+
+``dot`` is the one pairing and ``signs`` the one sign kernel; on integer
+vectors both stay in int arithmetic.
 """
 
 from __future__ import annotations
@@ -128,9 +131,23 @@ class PrimeField:
 QQ = Rationals()
 
 
-def dot(coeffs, values) -> Fraction:
-    """Exact pairing sum_i coeffs[i] * values[i] of two rational vectors."""
-    return sum(map(mul, coeffs, values), Fraction(0))
+def dot(coeffs, values):
+    """Exact pairing sum_i coeffs[i] * values[i] of two rational vectors.
+
+    The sum starts at the int 0: two integer vectors pair to an int, and a
+    vector with a Fraction entry pairs to a Fraction.
+    """
+    return sum(map(mul, coeffs, values))
+
+
+def signs(rows, point):
+    """The sign -1, 0 or 1 of dot(row, point) for each row, as a list.
+
+    The one sign kernel of stability space: rows are integer normals and
+    ``point`` the integer numerators of a stability vector over its
+    positive common denominator, so every sign comes from int arithmetic.
+    """
+    return [(v > 0) - (v < 0) for v in (dot(row, point) for row in rows)]
 
 
 def primitive(values):

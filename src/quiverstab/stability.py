@@ -11,25 +11,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .errors import BadSubset, ContextMismatch, IndexMismatch
-from .fieldops import dot
+from .fieldops import dot, signs
 from .quiverrep import DimVector
 from .rootsys import RootSystem
 
 
 @dataclass(frozen=True)
 class StabilityVector:
-    """Entries over the affine vertices plus the derived framing entry."""
+    """Entries over the affine vertices plus the derived framing entry.
+
+    ``den`` is the least common denominator of the entries (always
+    positive) and ``nums`` their integer numerators over it, so entry i is
+    nums[i] / den.  Both are computed once by :func:`make_theta`; every
+    pairing and sign is then int arithmetic, divided by ``den`` at most once.
+    """
 
     rs: RootSystem
     context: tuple  # dimension vector v over the affine vertices
     entries: tuple  # exact rationals over the affine vertices
     theta_inf: Fraction
+    nums: tuple = dc_field(repr=False, compare=False)  # entries * den, as ints
+    den: int = dc_field(repr=False, compare=False)
 
     def value(self, coeffs) -> Fraction:
         """Pairing with an integer coefficient vector over the affine vertices."""
-        return dot(coeffs, self.entries)
+        return Fraction(dot(coeffs, self.nums), self.den)
 
     def delta_value(self) -> Fraction:
         return self.value(self.rs.delta)
@@ -41,15 +51,22 @@ def make_theta(rs: RootSystem, v, entries) -> StabilityVector:
     if len(v) != len(rs.vertices) or len(entries) != len(rs.vertices):
         raise IndexMismatch("context and entries must cover the affine vertices")
     ent = tuple(Fraction(x) for x in entries)
-    theta_inf = -dot(v, ent)
-    return StabilityVector(rs=rs, context=v, entries=ent, theta_inf=theta_inf)
+    den = lcm(*[x.denominator for x in ent])
+    nums = tuple([x.numerator * (den // x.denominator) for x in ent])
+    return StabilityVector(
+        rs=rs, context=v, entries=ent, theta_inf=Fraction(-dot(v, nums), den),
+        nums=nums, den=den,
+    )
 
 
 def pair_dim(theta: StabilityVector, d: DimVector) -> Fraction:
-    """Pairing r * theta_inf + sum_i v_i * theta_i with a dimension vector."""
+    """Pairing r * theta_inf + sum_i v_i * theta_i with a dimension vector.
+
+    One integer pairing over ``den``: theta_inf * den = -dot(context, nums).
+    """
     if len(d.v) != len(theta.entries):
         raise IndexMismatch("dimension vector does not match the vertex set")
-    return d.r * theta.theta_inf + theta.value(d.v)
+    return Fraction(dot(d.v, theta.nums) - d.r * dot(theta.context, theta.nums), theta.den)
 
 
 @dataclass(frozen=True)
@@ -81,7 +98,19 @@ def cone_constraints(rs: RootSystem, cone: ConeSpec, closed: bool = False):
     """The defining linear system as (coeffs over vertices, relation) pairs.
 
     Relations are ">", ">=", or "="; all right-hand sides are zero.  With
-    ``closed`` every strict inequality is relaxed.
+    ``closed`` every strict inequality is relaxed.  Returns a fresh list.
+    """
+    rows, rels = _cone_system(rs, cone, closed)
+    return list(zip(rows, rels))
+
+
+@lru_cache(maxsize=1024)
+def _cone_system(rs: RootSystem, cone: ConeSpec, closed: bool):
+    """The system of :func:`cone_constraints` as (rows, relations), built once.
+
+    ``RootSystem`` hashes by its Dynkin type and ``ConeSpec`` is frozen, so
+    each (rs, cone, closed) is built once per process.  The result is the
+    pair (rows, relations) of tuples, read but never mutated.
     """
     n_vertices = len(rs.vertices)
     K = sorted(cone.K)
@@ -107,7 +136,7 @@ def cone_constraints(rs: RootSystem, cone: ConeSpec, closed: bool = False):
         out.append((delta_restricted(rs.vertices), ">="))
         for i in rs.vertices[1:]:
             out.append((unit(i), ">="))
-        return out
+        return tuple(zip(*out))
     if cone.kind == "C":
         out.append((delta_restricted(J), gt))
         for j in J:
@@ -115,7 +144,7 @@ def cone_constraints(rs: RootSystem, cone: ConeSpec, closed: bool = False):
                 out.append((minus_scaled_delta(j, cone.n - 1), gt))
         for k in K:
             out.append((unit(k), gt))
-        return out
+        return tuple(zip(*out))
     if cone.kind == "sigma":
         eq, rest = K, []
     else:
@@ -128,7 +157,7 @@ def cone_constraints(rs: RootSystem, cone: ConeSpec, closed: bool = False):
     for j in J:
         if j != 0:
             out.append((minus_scaled_delta(j, cone.n - 1), gt))
-    return out
+    return tuple(zip(*out))
 
 
 def holds(value, rel: str, rhs=0) -> bool:
@@ -147,10 +176,9 @@ def cone_membership(theta: StabilityVector, cone: ConeSpec, closed: bool = False
         raise ContextMismatch(
             f"stability context {theta.context} is not {cone.n} * delta"
         )
-    return all(
-        holds(theta.value(coeffs), rel)
-        for coeffs, rel in cone_constraints(theta.rs, cone, closed=closed)
-    )
+    # den > 0, so each row pairs with theta with the sign of its pairing with nums
+    rows, rels = _cone_system(theta.rs, cone, closed)
+    return all(map(holds, signs(rows, theta.nums), rels))
 
 
 def craw_wye_theta(rs: RootSystem, J, n: int) -> StabilityVector:

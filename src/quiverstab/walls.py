@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import geom2d
 from .errors import ContextMismatch, DegeneratePlane, SamplerExhausted, SliceTooLarge
-from .fieldops import QQ, dot, identity, mat_coerce, nullspace, primitive
+from .fieldops import QQ, dot, identity, mat_coerce, nullspace, primitive, signs
 from .rootsys import RootLatticeVector, RootSystem, m_delta_plus_root
 from .stability import StabilityVector, cone_membership, holds, make_theta
 
@@ -71,11 +71,8 @@ def sign_vector(arr: Arrangement, theta: StabilityVector):
     expected = tuple(arr.n * d for d in arr.rs.delta)
     if theta.context != expected:
         raise ContextMismatch("stability context does not match the arrangement")
-    out = []
-    for h in arr.hyperplanes:
-        val = theta.value(h.coeffs)
-        out.append("+" if val > 0 else "-" if val < 0 else "0")
-    return tuple(out)
+    # den > 0, so the numerators give the signs; "0+-"[s] reads 0, 1, -1 as 0, +, -
+    return tuple("0+-"[s] for s in signs([h.coeffs for h in arr.hyperplanes], theta.nums))
 
 
 def sign_string(signs) -> str:
@@ -403,7 +400,7 @@ def _roots(f0, step, span: range) -> range:
     """The m in ``span`` where f0 + m * step vanishes: all of them, or at most one."""
     if step == 0:
         return span if f0 == 0 else range(0)
-    m = -f0 / step
+    m = Fraction(-f0, step)  # the pairings are ints on a plane with int entries
     if m.denominator == 1 and span.start <= m < span.stop:
         return range(m.numerator, m.numerator + 1)
     return range(0)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,10 @@ def _fp_doc_with_entry(entry):
         (["theta", "craw-wye", "--type", "A\u00b2", "-n", "1", "--J", "0"], "InvalidRank"),
         (["theta", "craw-wye", "--type", "A" + "1" * 5000, "-n", "1", "--J", "0"],
          "InvalidRank"),
+        (["cone", "check", "--theta", "{huge_exponent_theta}", "--cone", "F"], "DocumentError"),
+        (["rep", "check", "--rep", "{tiny_exponent_rep}"], "DocumentError"),
+        (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}",
+          "--plane", "base=1e9999999,0;d1=1,0;d2=0,1"], "DocumentError"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -306,7 +311,8 @@ def _fp_doc_with_entry(entry):
          "huge-prime-flag", "slice-too-large", "infinite-n", "infinite-p",
          "big-dims-tangent", "big-dims-check", "too-many-points", "slice-huge-n",
          "slice-huge-n-in-a-wall", "rank-huge", "rank-over-cap", "rank-over-cap-d",
-         "rank-over-cap-doc", "rank-superscript-digit", "rank-5000-digits"],
+         "rank-over-cap-doc", "rank-superscript-digit", "rank-5000-digits",
+         "exponent-theta-entry", "exponent-rep-matrix", "exponent-plane"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -321,6 +327,9 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
         "infinite_p": {**_fp_doc_with_entry("1"), "p": float("inf")},  # JSON Infinity
         "big_dims": {"type": "A1", "n": 1, "field": "Q", "dims": {"inf": 1, "0": 20, "1": 20}},
         "huge_type_rep": {**_fp_doc_with_entry("1"), "type": "A99999"},
+        # Fraction would expand these exponents into ten-million-digit integers
+        "huge_exponent_theta": {"type": "A1", "n": 1, "entries": {"0": "1e9999999", "1": "1"}},
+        "tiny_exponent_rep": _fp_doc_with_entry("1e-9999999"),
     }
     paths = {"svg": tmp_path / "x.svg", "nowhere": tmp_path / "missing"}
     for name, doc in docs.items():
@@ -333,6 +342,11 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(error + ": ") and err.count("\n") == 1
+
+
+def test_rational_literals_up_to_the_exponent_cap_parse():
+    doc = {"type": "A1", "n": 1, "entries": {"0": "25e-1", "1": "1E4_300"}}
+    assert theta_from_doc(doc).entries == (Fraction(5, 2), Fraction(10**4300))
 
 
 def test_huge_n_slice_refusals_are_exact(capsys, tmp_path):
@@ -423,10 +437,10 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, command, rep, theta):
 
 # -- the flag-only commands -------------------------------------------------------
 
-# ranks near the cap stay out of the draws: A119 builds its root system in about 19 s
+# the largest types A119 and D32 build their root systems in under a second
 dynkin_label = st.one_of(
     st.builds("{}{}".format, st.sampled_from("ADEXade"), st.integers(-1, 12)),
-    st.sampled_from(["A120", "D33", "A99999999", "A", "", " a2 ", "A\u00b2",
+    st.sampled_from(["A119", "D32", "A120", "D33", "A99999999", "A", "", " a2 ", "A\u00b2",
                      "A1.5", "-A1"]),
     st.text(max_size=3),
 )

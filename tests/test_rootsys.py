@@ -1,11 +1,18 @@
 """Root system data against the classical tables and structural invariants."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import quiverstab
+import reference_rootsys
 from quiverstab import DynkinType, build_root_system, make_theta, pair
 from quiverstab.errors import InvalidRank, MismatchedRootSystem
 from quiverstab.mckay import GroupSpec
@@ -77,6 +84,40 @@ def test_positive_roots_closed_under_reflections(family, rank):
             refl = tuple(refl)
             # a simple reflection sends a positive root to +- a positive root
             assert refl in roots or tuple(-x for x in refl) in roots
+
+
+ORACLE_TYPES = (
+    [("A", r) for r in range(1, 21)] + [("D", r) for r in range(4, 21)]
+    + [("E", r) for r in (6, 7, 8)]
+)
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_TYPES)
+def test_matches_the_reference_construction(family, rank):
+    # all reflections with dense pairings, and delta from a Fraction nullspace
+    rs = build_root_system(DynkinType(family, rank))
+    assert rs.positive_roots == reference_rootsys.positive_roots(rs.finite_cartan, rank)
+    assert rs.delta == reference_rootsys.delta(rs.affine_cartan)
+
+
+# positive roots n(n+1)/2 for A_n and n(n-1) for D_n; h is the Coxeter number
+@pytest.mark.parametrize("label,count,h", [("A119", 7140, 120), ("D32", 992, 62)])
+def test_largest_types_have_every_positive_root(label, count, h):
+    rs = build_root_system(DynkinType.parse(label))
+    assert len(rs.positive_roots) == count
+    assert max(rs.positive_roots, key=sum) == rs.delta[1:]
+    assert rs.h == h
+
+
+def test_largest_type_builds_in_a_fresh_process_within_seconds():
+    src = Path(quiverstab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "quiverstab.cli", "theta", "craw-wye", "--type", "A119",
+            "-n", "1", "--J", "0"]
+    start = time.monotonic()
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+    assert time.monotonic() - start < 5.0
+    assert done.returncode == 0 and done.stdout.splitlines()[-1] == "inf -120"
 
 
 def test_affine_extension_shapes():
