@@ -18,7 +18,7 @@ class MismatchedRootSystem(DomainError):
 
 
 class RoundingFailure(DomainError):
-    pass
+    """An exact invariant check of the McKay computation failed."""
 
 
 class GroupTooLarge(DomainError):
@@ -75,6 +75,10 @@ class BadSubset(DomainError):
 
 class DegeneratePlane(DomainError):
     pass
+
+
+class ArrangementTooLarge(DomainError):
+    """A wall arrangement would cost more than :mod:`quiverstab.walls` builds."""
 
 
 class SliceTooLarge(DomainError):

@@ -1,38 +1,39 @@
 """Finite subgroups of SL(2, C), their character tables, and McKay graphs.
 
-Groups are enumerated as explicit 2x2 complex matrices generated from
-fixed generator sets (floating point with ~15 significant digits;
-elements are told apart by rounding to nine digits, with a 1e-6 guard).
-Everything after enumeration is exact integer arithmetic.  The left
+Everything is exact arithmetic over the prime field F_q, with q the least
+prime = 1 mod |G| (Dixon 1967, Schneider 1990).  F_q holds a primitive
+|G|-th root of unity zeta, which stands for exp(2 pi i / |G|), so one
+generator table, written with ring operations only, gives each group both
+as complex 2x2 matrices and as matrices over F_q.  The group is
+enumerated over F_q, keyed by the residues of its elements.  The left
 action of each generator, recorded once by the enumeration, gives an
 integer Cayley table; conjugacy classes, inverses, power maps and the
-class-sum structure constants come from that table.
+class-sum structure constants come from that table.  Each complex element
+is computed once, as the product along its discovery chain; floats serve
+only the public view of the elements and their order (by ``_key``).
 
-The character table is computed over a prime field F_q with q = 1 mod
-the group exponent and q > 2 sqrt|G| (Dixon 1967, Schneider 1990): the
-common eigenvectors of the integer class matrices over F_q are the
+The common eigenvectors of the integer class matrices over F_q are the
 central characters mod q, found by splitting eigenspaces at the roots of
 characteristic polynomials.  The norm equation gives each irrep
 dimension, and each character value is lifted to C through the power
 maps: the multiplicity of every root of unity among the eigenvalues of
 rho(g) is a discrete Fourier transform mod q, read exactly because it
-lies in [0, dim].  McKay multiplicities are read mod q the same way.
-There is no float eigenproblem.
+lies in [0, dim].  The natural character is the trace of each residue,
+and McKay multiplicities are read mod q the same way.  No float
+comparison decides anything but the order of elements and irreps.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import GroupTooLarge, InvalidRank, NoIsomorphism, RoundingFailure
-from .fieldops import PrimeField, _is_prime, nullspace, rref
+from .fieldops import PrimeField, _is_prime, dot, nullspace, rref
 from .rootsys import MAX_GROUP_ORDER, DynkinType, RootSystem
 
 _KEY_DIGITS = 9
-_INT_TOL = 1e-6
 
 _FAMILIES = (
     "cyclic",
@@ -113,7 +114,7 @@ class GroupSpec:
         raise InvalidRank(f"cannot parse group spec {text!r}")
 
 
-# -- matrices as ((a, b), (c, d)) complex tuples ------------------------------
+# -- matrices as ((a, b), (c, d)) tuples over C or F_q ---------------------------
 
 def _mat_mul(x, y):
     return (
@@ -122,7 +123,12 @@ def _mat_mul(x, y):
     )
 
 
+def _mod(x, q):
+    return tuple(tuple(v % q for v in row) for row in x)
+
+
 def _key(x):
+    """The sort key of a complex element: its entries rounded to nine digits."""
     (a, b), (c, d) = x
     return (
         round(a.real, _KEY_DIGITS), round(a.imag, _KEY_DIGITS),
@@ -132,93 +138,84 @@ def _key(x):
     )
 
 
-def _close(x, y, tol):
-    return all(
-        abs(a - b) <= tol for ra, rb in zip(x, y) for a, b in zip(ra, rb)
-    )
+def _generators(spec: GroupSpec, root=lambda k: cmath.exp(2j * cmath.pi / k), half=0.5):
+    """The generator matrices, written with ring operations only.
 
-
-def _quat(a, b, c, d):
-    """SU(2) matrix of the unit quaternion a + bi + cj + dk."""
-    return ((complex(a, b), complex(c, d)), (complex(-c, d), complex(a, -b)))
-
-
-def _generators(spec: GroupSpec):
-    if spec.family == "cyclic":
-        z = cmath.exp(2j * cmath.pi / spec.m)
-        return [((z, 0), (0, 1 / z))]
-    if spec.family == "binary_dihedral":
-        z = cmath.exp(2j * cmath.pi / (2 * spec.m))
-        return [((z, 0), (0, 1 / z)), ((0, 1), (-1, 0))]
-    i_mat = _quat(0, 1, 0, 0)
-    j_mat = _quat(0, 0, 1, 0)
-    omega = _quat(-0.5, 0.5, 0.5, 0.5)
-    if spec.family == "binary_tetrahedral":
-        return [i_mat, j_mat, omega]
-    if spec.family == "binary_octahedral":
-        s = 1 / math.sqrt(2)
-        return [i_mat, j_mat, omega, _quat(s, s, 0, 0)]
-    phi = (1 + math.sqrt(5)) / 2
-    return [i_mat, j_mat, omega, _quat(0, 0.5, 1 / (2 * phi), phi / 2)]
-
-
-def _enumerate_group(spec: GroupSpec):
-    """The elements in ``_key`` order, with the integer group tables.
-
-    A breadth-first search from 1 multiplies each element x, once, on the
-    left by every generator s in floats, recording the left action
-    key(x) -> key(s @ x) and, for each element y it finds, the pair (s, x)
-    with y = s @ x.  ``mul[i][j]`` is the index of
-    ``elements[i] @ elements[j]``: the row of 1 is 0, 1, 2, ..., and the
-    row of y = s @ x is the row of x pushed through the action of s, since
-    (s @ x) @ z = s @ (x @ z).  Returns (elements, mul, inv, one, gens):
-    the inverse of each element, and the indices of 1 and the generators.
+    ``root(k)`` stands for exp(2 pi i / k) and ``half`` for 1/2: the
+    defaults give complex matrices, and a root of unity and the inverse of
+    2 in F_q give their images over F_q (entries still to be reduced).  The
+    binary polyhedral generators are the unit quaternions i, j and
+    (-1 + i + j + k)/2, then (1 + i)/sqrt 2 = root(8) for 2O, or
+    (i + j/phi + phi k)/2 for 2I with 1/phi = root(5) + root(5)^4 and
+    phi = 1 + 1/phi; a + bi + cj + dk is ((a + bi, c + di), (-c + di, a - bi)).
     """
-    gens = _generators(spec)
-    one = _key(((1, 0), (0, 1)))
-    seen = {one: ((complex(1), complex(0)), (complex(0), complex(1)))}
-    action = [{} for _ in gens]  # key(x) -> key(s @ x), one dict per generator
-    parent = {}  # key(y) -> (generator position, key(x)) with y = s @ x
-    boundary = [one]
-    while boundary:
-        fresh = []
-        for t, g in enumerate(gens):
-            for kx in boundary:
-                y = _mat_mul(g, seen[kx])
-                k = action[t][kx] = _key(y)
-                if k not in seen:
-                    seen[k] = y
-                    parent[k] = (t, kx)
-                    fresh.append(k)
-        boundary = fresh
-        if len(seen) > 4 * spec.order():
-            raise RoundingFailure("group closure did not terminate at the expected order")
-    keys = sorted(seen)
-    elements = [seen[k] for k in keys]
-    if len(elements) != spec.order():
-        raise RoundingFailure(
-            f"enumerated {len(elements)} elements, expected {spec.order()}"
-        )
-    for idx, g in enumerate(elements):
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        if abs(det - 1) > _INT_TOL:
-            raise RoundingFailure("generator table produced a non-SL(2) element")
-        for other in elements[idx + 1 :]:
-            # sorted by _key, which leads with this entry rounded: no later
-            # element can be close once it is this far away
-            if other[0][0].real > g[0][0].real + 2 * _INT_TOL:
-                break
-            if _close(g, other, _INT_TOL):
-                raise RoundingFailure("two enumerated elements are numerically equal")
+    if spec.family == "cyclic":
+        z = root(spec.m)
+        return [((z, 0), (0, z ** (spec.m - 1)))]
+    if spec.family == "binary_dihedral":
+        z = root(2 * spec.m)
+        return [((z, 0), (0, z ** (2 * spec.m - 1))), ((0, 1), (-1, 0))]
+    i = root(4)
+    gens = [
+        ((i, 0), (0, -i)),
+        ((0, 1), (-1, 0)),
+        ((half * (i - 1), half * (i + 1)), (half * (i - 1), -half * (i + 1))),
+    ]
+    if spec.family == "binary_octahedral":
+        z = root(8)
+        gens.append(((z, 0), (0, z ** 7)))
+    elif spec.family == "binary_icosahedral":
+        rho = root(5) + root(5) ** 4
+        c, d = half * rho, half * (1 + rho)
+        gens.append(((half * i, c + d * i), (d * i - c, -half * i)))
+    return gens
 
-    index = {k: i for i, k in enumerate(keys)}
-    left = [[index[act[k]] for k in keys] for act in action]
-    rows = {one: range(len(keys))}
-    for k, (t, kx) in parent.items():  # in discovery order: x before s @ x
-        rows[k] = [left[t][z] for z in rows[kx]]
-    mul = tuple(tuple(rows[k]) for k in keys)
+
+def _enumerate_group(spec: GroupSpec, q: int, zeta: int):
+    """The elements in ``_key`` order, their residues mod q, and the integer group tables.
+
+    A breadth-first search from 1 multiplies each residue x, once, on the
+    left by every generator s over F_q, recording the left action
+    x -> s x and, for each element y it finds, the pair (s, x) with
+    y = s x; the complex y is then computed, once, from the complex s and
+    x.  ``mul[i][j]`` is the index of ``elements[i] @ elements[j]``: the
+    row of 1 is 0, 1, 2, ..., and the row of y = s x is the row of x pushed
+    through the action of s, since (s x) z = s (x z).  Returns (elements,
+    residues, mul, inv, one, gens): the inverse of each element, and the
+    indices of 1 and the generators.
+    """
+    order = spec.order()
+    complex_gens = _generators(spec)
+    residue_gens = [
+        _mod(g, q) for g in _generators(spec, lambda k: pow(zeta, order // k, q), (q + 1) // 2)
+    ]
+    one = ((1, 0), (0, 1))
+    seen = {one: ((complex(1), complex(0)), (complex(0), complex(1)))}  # residue -> complex
+    action = [{} for _ in residue_gens]  # x -> s x, one dict per generator
+    parent = {}  # y -> (generator position, x) with y = s x
+    boundary = [one]
+    while boundary and len(seen) <= order:
+        fresh = []
+        for t, s in enumerate(residue_gens):
+            for x in boundary:
+                y = action[t][x] = _mod(_mat_mul(s, x), q)
+                if y not in seen:
+                    seen[y] = _mat_mul(complex_gens[t], seen[x])
+                    parent[y] = (t, x)
+                    fresh.append(y)
+        boundary = fresh
+    if len(seen) != order:
+        raise RoundingFailure(f"the generators over F_{q} do not give {order} elements")
+    residues = sorted(seen, key=lambda x: _key(seen[x]))
+    index = {x: i for i, x in enumerate(residues)}
+    left = [[index[act[x]] for x in residues] for act in action]
+    rows = {one: range(order)}
+    for y, (t, x) in parent.items():  # in discovery order: x before s x
+        rows[y] = [left[t][z] for z in rows[x]]
+    mul = tuple(tuple(rows[x]) for x in residues)
     e = index[one]
-    return elements, mul, tuple(row.index(e) for row in mul), e, tuple(act[e] for act in left)
+    inv = tuple(row.index(e) for row in mul)
+    return [seen[x] for x in residues], residues, mul, inv, e, tuple(act[e] for act in left)
 
 
 # -- exact group tables -------------------------------------------------------
@@ -327,22 +324,19 @@ def _roots(f, q):
 
 # -- the character table over F_q ---------------------------------------------
 
-def _splitting_prime(exponent, order):
-    """The least prime q = 1 mod the exponent with q > 2 sqrt|G|, and a root.
+def _splitting_prime(order):
+    """The least prime q = 1 mod |G|, and a primitive |G|-th root of unity zeta.
 
-    F_q then holds every character value of G (through a primitive
-    exponent-th root of unity zeta, which stands for exp(2 pi i / exponent)),
-    and every integer in [0, sqrt|G|] is told apart from its negative mod q.
+    zeta stands for exp(2 pi i / |G|), so F_q holds the image of every
+    matrix entry and character value of G.  As q > |G| >= 2, q > 2 sqrt|G|:
+    every integer in [0, sqrt|G|] is told apart from its negative mod q.
     """
-    q = exponent + 1
-    while q * q <= 4 * order or not _is_prime(q):
-        q += exponent
-    primes = [p for p in range(2, exponent + 1) if exponent % p == 0 and _is_prime(p)]
-    for a in range(2, q):
-        zeta = pow(a, (q - 1) // exponent, q)
-        if all(pow(zeta, exponent // p, q) != 1 for p in primes):
-            return q, zeta
-    raise RoundingFailure(f"F_{q} has no primitive {exponent}-th root of unity")
+    q = order + 1
+    while not _is_prime(q):
+        q += order
+    primes = [p for p in range(2, order + 1) if order % p == 0 and _is_prime(p)]
+    zetas = (pow(a, (q - 1) // order, q) for a in range(2, q))
+    return q, next(z for z in zetas if all(pow(z, order // p, q) != 1 for p in primes))
 
 
 def _central_characters(structure, q):
@@ -365,32 +359,21 @@ def _central_characters(structure, q):
             if len(basis) == 1:
                 split.append((basis, pivots))
                 continue
-            restricted = [
-                [sum(x * y for x, y in zip(mat[p], b)) % q for b in basis] for p in pivots
-            ]
+            restricted = [[dot(mat[p], b) % q for b in basis] for p in pivots]
+            columns = list(zip(*basis))
             for lam in _roots(_charpoly(restricted, q), q):
                 shifted = [
                     [(x - lam) % q if u == t else x for t, x in enumerate(row)]
                     for u, row in enumerate(restricted)
                 ]
                 split.append(rref(field, [
-                    [sum(c * b[k] for c, b in zip(coords, basis)) % q for k in range(r)]
+                    [dot(coords, col) % q for col in columns]
                     for coords in nullspace(field, shifted, len(basis))
                 ]))
         spaces = split
     if len(spaces) != r or any(pivots != (0,) for _, pivots in spaces):
         raise RoundingFailure(f"the class matrices do not split into {r} eigenlines over F_{q}")
     return [basis[0] for basis, _ in spaces]
-
-
-def _natural_character(g, o, zeta, exponent, q):
-    """tr(g) mod q, for g of order o with eigenvalues exp(+-2 pi i a / o)."""
-    tr = (g[0][0] + g[1][1]).real
-    a = round(math.acos(max(-1.0, min(1.0, tr / 2))) * o / (2 * math.pi))
-    if abs(2 * math.cos(2 * math.pi * a / o) - tr) > _INT_TOL:
-        raise RoundingFailure("an element's trace is not 2 cos(2 pi a / o)")
-    z = pow(zeta, exponent // o, q)
-    return (pow(z, a, q) + pow(z, -a, q)) % q
 
 
 def _power_classes(mul, one, classes, class_of):
@@ -421,18 +404,20 @@ def _lift(psi, d, powers, dft, q):
     for k, seq in enumerate(powers):
         twiddles, roots, o_inv = dft[len(seq)]
         values = [psi[c] for c in seq]
-        mult = [sum(map(operator.mul, row, values)) * o_inv % q for row in twiddles]
+        mult = [dot(row, values) * o_inv % q for row in twiddles]
         if sum(mult) != d:
             raise RoundingFailure("eigenvalue multiplicities do not add up to the dimension")
         chi.append(sum(m * root for m, root in zip(mult, roots)))
     return chi
 
 
-def _character_table(elements, mul, inv, one, classes):
+def _character_table(residues, mul, inv, one, classes, q, zeta):
     """Characters (class x irrep, complex), irrep dimensions, McKay adjacency.
 
-    Irrep 0 is trivial; the rest are sorted by dimension, then by their
-    rounded character values.  Only the lifted values are floats.
+    ``residues`` are the elements over F_q, and zeta is the primitive
+    |G|-th root of unity there.  Irrep 0 is trivial; the rest are sorted by
+    dimension, then by their rounded character values.  Only the lifted
+    values are floats.
     """
     order = len(mul)
     r = len(classes)
@@ -442,13 +427,11 @@ def _character_table(elements, mul, inv, one, classes):
         for i in cls:
             class_of[i] = ci
     powers = _power_classes(mul, one, classes, class_of)
-    exponent = math.lcm(*(len(seq) for seq in powers))
-    q, zeta = _splitting_prime(exponent, order)
     star = [class_of[inv[cls[0]]] for cls in classes]
     size_inv = [pow(s, -1, q) for s in sizes]
     dft = {}  # element order o -> (zeta_o^(-j t), exp(2 pi i j / o), 1 / o)
     for o in {len(seq) for seq in powers}:
-        z = pow(zeta, exponent // o, q)
+        z = pow(zeta, order // o, q)
         dft[o] = (
             [[pow(z, -j * t % o, q) for t in range(o)] for j in range(o)],
             [cmath.exp(2j * math.pi * j / o) for j in range(o)],
@@ -476,10 +459,7 @@ def _character_table(elements, mul, inv, one, classes):
     ))
 
     # <chi_i * std, chi_j> mod q, with std the character of the natural rep
-    std = [
-        _natural_character(elements[cls[0]], len(seq), zeta, exponent, q)
-        for cls, seq in zip(classes, powers)
-    ]
+    std = [(x[0][0] + x[1][1]) % q for x in (residues[cls[0]] for cls in classes)]
     weights = [sizes[k] * std[k] * pow(order, -1, q) for k in range(r)]
     adjacency = []
     for _, psi_i, _ in irreps:
@@ -516,9 +496,10 @@ class McKayData:
 
 def build_mckay(spec: GroupSpec) -> McKayData:
     """Enumerate the group and compute its McKay correspondence data."""
-    elements, mul, inv, one, gens = _enumerate_group(spec)
+    q, zeta = _splitting_prime(spec.order())
+    elements, residues, mul, inv, one, gens = _enumerate_group(spec, q, zeta)
     classes = _conjugacy_classes(mul, inv, one, gens)
-    table, dims, adjacency = _character_table(elements, mul, inv, one, classes)
+    table, dims, adjacency = _character_table(residues, mul, inv, one, classes, q, zeta)
     if sum(d * d for d in dims) != len(elements):
         raise RoundingFailure("sum of squared dimensions misses the group order")
     return McKayData(

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom2d
-from .errors import ContextMismatch, DegeneratePlane, SamplerExhausted, SliceTooLarge
+from .errors import (
+    ArrangementTooLarge,
+    ContextMismatch,
+    DegeneratePlane,
+    SamplerExhausted,
+    SliceTooLarge,
+)
 from .fieldops import QQ, dot, identity, mat_coerce, nullspace, primitive, signs
 from .rootsys import RootLatticeVector, RootSystem, m_delta_plus_root
 from .stability import StabilityVector, cone_membership, holds, make_theta
@@ -52,18 +58,44 @@ class Arrangement:
         return len(self.hyperplanes)
 
 
+# Most work an arrangement may take, in entries: one per vertex of each wall
+# and 24 more per wall for building, sorting and printing it.  An entry takes
+# about 0.25 us on a 2-core host, so a build stays near 0.5 s or less: A2 up
+# to 74,074 walls (n = 12,346), E8 up to 60,606 and A119 up to 13,888 (n = 1
+# has 7,141 walls, n = 2 has 21,421).
+MAX_BUILD_ENTRIES = 2_000_000
+_ENTRIES_PER_WALL = 24
+
+
 def build_arrangement(rs: RootSystem, n: int) -> Arrangement:
-    """Enumerate delta and m*delta +- alpha for 0 <= m < n, dedupe, sort."""
+    """The walls delta and m*delta +- alpha for 0 <= m < n, sorted.
+
+    These are 1 + (2n - 1) |positive roots| distinct walls, each already
+    primitive and sign-normalized: -alpha is alpha's wall, and for m >= 1
+    the entry at vertex 0 is m > 0, while a common divisor of m and the
+    other entries would divide the primitive root alpha.  More walls than
+    MAX_BUILD_ENTRIES allows raise ArrangementTooLarge before any is built.
+    """
     if n < 1:
         raise ContextMismatch("n must be at least 1")
-    normals = {Hyperplane.from_coeffs(rs, rs.delta)}
-    for m in range(n):
-        for alpha in rs.positive_roots:
-            for sign in (1, -1):
-                vec = m_delta_plus_root(rs, m, alpha, sign)
-                normals.add(Hyperplane.from_coeffs(rs, vec.coeffs))
-    ordered = sorted(normals, key=lambda h: h.coeffs)
-    return Arrangement(rs=rs, n=n, hyperplanes=tuple(ordered))
+    count = 1 + (2 * n - 1) * len(rs.positive_roots)
+    most = MAX_BUILD_ENTRIES // (len(rs.vertices) + _ENTRIES_PER_WALL)
+    if count > most:
+        raise ArrangementTooLarge(
+            f"{rs.dynkin.label()} n={n} has {count} walls,"
+            f" more than the {most} built for this type"
+        )
+    roots = [(0, *alpha) for alpha in rs.positive_roots]
+    normals = [rs.delta, *roots]
+    for m in range(1, n):
+        shift = [m * d for d in rs.delta]
+        for root in roots:
+            normals.append(tuple([x + y for x, y in zip(shift, root)]))
+            normals.append(tuple([x - y for x, y in zip(shift, root)]))
+    normals.sort()
+    return Arrangement(
+        rs=rs, n=n, hyperplanes=tuple(Hyperplane(RootLatticeVector(rs, c)) for c in normals)
+    )
 
 
 def sign_vector(arr: Arrangement, theta: StabilityVector):

@@ -301,6 +301,8 @@ def _fp_doc_with_entry(entry):
         (["rep", "check", "--rep", "{tiny_exponent_rep}"], "DocumentError"),
         (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}",
           "--plane", "base=1e9999999,0;d1=1,0;d2=0,1"], "DocumentError"),
+        (["walls", "build", "--type", "A2", "-n", "1000000000"], "ArrangementTooLarge"),
+        (["walls", "build", "--type", "A119", "-n", "5"], "ArrangementTooLarge"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -312,7 +314,8 @@ def _fp_doc_with_entry(entry):
          "big-dims-tangent", "big-dims-check", "too-many-points", "slice-huge-n",
          "slice-huge-n-in-a-wall", "rank-huge", "rank-over-cap", "rank-over-cap-d",
          "rank-over-cap-doc", "rank-superscript-digit", "rank-5000-digits",
-         "exponent-theta-entry", "exponent-rep-matrix", "exponent-plane"],
+         "exponent-theta-entry", "exponent-rep-matrix", "exponent-plane", "build-huge-n",
+         "build-a119-n5"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -474,10 +477,24 @@ orbit_sum_argv = st.builds(
     + ([] if n is None else [f"-n{n}"]),
     dynkin_label, st.none() | integer_text, point_list, field_text,
 )
+# Cyclic orders above 48 are not drawn: cyclic:47 and cyclic:60 take about
+# 0.6-0.7 s in a fresh process and cyclic:120 about 6.5 s, most of it splitting
+# one eigenline per irrep, which waits for the Galois-orbit step of the
+# character table.
+group_text = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["cyclic", "bd"]),
+              st.one_of(st.integers(-1, 48), st.sampled_from([121, 1000]))),
+    st.sampled_from(["2T", "2O", "2I", "2t", " 2i ", "2X", "cyclic:", "bd:x", "cyclic:1.5", ""]),
+    st.text(max_size=4),
+)
+mckay_verify_argv = st.builds(lambda g, t: ["mckay", "verify", g, t], group_text, dynkin_label)
+walls_build_argv = st.builds(
+    lambda t, n: ["walls", "build", f"--type={t}", f"-n{n}"], dynkin_label, integer_text,
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(argv=st.one_of(craw_wye_argv, orbit_sum_argv))
+@given(argv=st.one_of(craw_wye_argv, orbit_sum_argv, mckay_verify_argv, walls_build_argv))
 def test_flag_only_commands_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()

@@ -1,10 +1,16 @@
-"""Byte-identity of CLI outputs on the root-system side.
+"""Byte-identity of CLI outputs on the root-system and McKay sides.
 
 Pins the sha256 of the stdout, SVG and TSV of default-plane slices, of
 `walls build`, and of `cone check` for every Craw-Ishii theta_J against
 every chamber C_K (open and closed).  The hashes were recorded before the
 integer sign kernel replaced the Fraction pairings, so a change anywhere
 in sign vectors, cone tests, arrangements or rendering shows up here.
+
+It also pins the `mckay verify` stdout of cyclic:13..32 and bd:8..30
+against their designated types, beyond the groups that
+``test_mckay_oracle.py`` compares with the float path.  Those hashes were
+recorded while the group was still enumerated in floats, before the F_q
+enumeration replaced it.
 
 Regenerate (only when an output is meant to change) with
 ``PYTHONPATH=src python tests/test_golden_outputs.py``.
@@ -19,11 +25,13 @@ from pathlib import Path
 import pytest
 
 from quiverstab.cli import main
+from quiverstab.mckay import GroupSpec
 
 SLICES = [("A1", 1), ("A1", 6), ("A1", 12), ("A2", 1), ("A2", 3), ("A2", 8),
           ("A3", 2), ("A3", 3), ("D4", 1), ("D4", 2), ("E6", 1)]
 BUILDS = [("A2", 3), ("A3", 2), ("D4", 2), ("E6", 1), ("E8", 2)]
 CONE_CHECKS = [("A2", 3, 3), ("A3", 2, 4), ("D4", 2, 5)]  # (type, n, vertex count)
+MCKAY = [f"cyclic:{m}" for m in range(13, 33)] + [f"bd:{m}" for m in range(8, 31)]
 
 GOLDEN = {
     "slice A1 n=1": {
@@ -89,6 +97,49 @@ GOLDEN = {
     "cone A2 n=3": "bc284bb18a1f204bc840b5ab54341cd2b5f89ec1378eba6179e2ef39ebfb0d41",
     "cone A3 n=2": "6c6b1b0bd3278461c7633e4ac40ac890c6c78b93bb4cc0d97058795d33cfe353",
     "cone D4 n=2": "34bf36ceba57462b5ab7ecf34e8d021d5cace53710149a746561d8fcbe0af8b2",
+    "mckay cyclic:13": "9b2adc8f6f923c411a5ab5ad7adc52f1203eeac6cb575fa5ac83879d1c84c80b",
+    "mckay cyclic:14": "1b0738b6aff1c2c3565085bb8eb5121bf907579a75b02bd80aa6d5fb8b74b048",
+    "mckay cyclic:15": "28c15997fda3a0b83efb1336c6073ff9a9095cf21b3e4ece183cff00719afb14",
+    "mckay cyclic:16": "2fd09bebbc5746c99cba40297cff57b7cb39909a9d5f4bb7cd1f872e3e96ac14",
+    "mckay cyclic:17": "657ea96f600ea4db638e796964ad6b049c452e3fa39d4192fece4fee27e62f32",
+    "mckay cyclic:18": "0a9c709d5c44620d26b55e86e216ca6a34b8fc91d953c946cd97e4104256ab28",
+    "mckay cyclic:19": "dcf6cd6d043c5400d6d2cc045340ef9db68205e7a47d46ae8969cc85239c96ae",
+    "mckay cyclic:20": "b72bb8d15efb33262ffb639def3c5bb19fa79fd3640901cafa8fe3503d4c511b",
+    "mckay cyclic:21": "55a060771ce51d6ca42457f8a277b28fec6044416b61b56e796888f2b7e94c39",
+    "mckay cyclic:22": "661dd960273d30dac36f9899a7e2de834d6eba88902113b1bd5b8255901a6d4c",
+    "mckay cyclic:23": "c24b31cf1320b97cd9fc50d20a047fa0393455f4862af7e47134861a02e9e437",
+    "mckay cyclic:24": "537ce1fe398cbc4fbbfdb3881a483551c71b940b5f7cda863dc9b70e4838357b",
+    "mckay cyclic:25": "40bc47f0518777db53b41254a994c5c0cc6da18417d1865c5f8bfddf4f107051",
+    "mckay cyclic:26": "e91b9c42ee1e3f70aaa64d0e33e005ccdd98ebf660b0e7bf3926c905c6d1a795",
+    "mckay cyclic:27": "b8fa36a18c2b583d7dc02b0c0e0feaa01e86e6062d78c7fe4f21887842d5dbdc",
+    "mckay cyclic:28": "efa1b4e7719500f0389de3abd1437b545548196380d2752304121f9bc6f0c301",
+    "mckay cyclic:29": "72a586d0d2bfef11b880445774d5b7dfdf9f8e1f12f621faf91e57acfa51eeff",
+    "mckay cyclic:30": "eff779b0990c4a0fe01da6f6a9270bc9a52f47c16775269685d729196eb268c0",
+    "mckay cyclic:31": "6ce5fd625521277dc14327a585ebf37e341d2aa83b5255d53e662e58e941d3e1",
+    "mckay cyclic:32": "ccea01cb8b4f1b8a52d89fbce533bc7329fcfc2230e636850e6177d7f37493f5",
+    "mckay bd:8": "5e028069137166f21c6fdf0584fe0d7eae716fb04d9c155963bc8c3d72e183d8",
+    "mckay bd:9": "c49456fbe3be2c2c6cab2b93b88579b169826820c27a9947fa240308fd81481c",
+    "mckay bd:10": "fd2474dc45a6354860e19bea81c891ab998827ef9e21303ec7678512140f638a",
+    "mckay bd:11": "7c35a83c636d2a211e41a79d6b503c6e294be655b2f204175975004bde59a142",
+    "mckay bd:12": "05b6d13bcf6604a187e84d3d3f3fdcfd9a128892dbc886edbfc33652424b2520",
+    "mckay bd:13": "fd1257e0efcb62960688e441d4d979cbcde88a6e8273cc123786cb6f64a3a462",
+    "mckay bd:14": "812ef4e16717019dab3fc1708cd697265eaf3edc819a6629a2792246047bfc0d",
+    "mckay bd:15": "f5258a6c1b9a34df285cb7417855391f4bb0286189cc7ef1eeea5063fa24cb86",
+    "mckay bd:16": "5344cbe2f9ee52a5a3803d242a75584fcf01dc684d74045c8f9a603bfe1bfce1",
+    "mckay bd:17": "4b1a73fe540bf6814258ac615c5f6f2a00036246b727d060f337401b2440bbd1",
+    "mckay bd:18": "8bbf59b1172e762a3895f545b678e8a9df4f03a729cc30059c8fefaf97a170b3",
+    "mckay bd:19": "2408037ce2509c5de949442716d559318065daa6780ce6fe05c35d210d3eae41",
+    "mckay bd:20": "98e8967eae2b780d357a04dd16f47670c3f20ef5bfd58e9540d1e71a9df20a73",
+    "mckay bd:21": "341b15e85308e87c893a46ef135b2ac262a0655d7a2a9f2ed1f760810e4f3646",
+    "mckay bd:22": "6a6a891186bd94098fa22937bd88d7ee2008c6893b8cf2cfdff4cca2de2682c4",
+    "mckay bd:23": "3077dcb8ce4c7788cf34244e72b769ab27d4fab977ba355d67986e503264178c",
+    "mckay bd:24": "fd344036dd5fe9d16d3ec5c419d6047ffc39047c12c0858a56424dad2bbe1465",
+    "mckay bd:25": "947f30edaf1e2bef4d01a326e9f2e2da60bc37f0c63440ca1fe3d82a48b819a5",
+    "mckay bd:26": "c36c053eed8afca735cd3adebd74eaf58f08d7e3546338bdb3ba961cb0c807aa",
+    "mckay bd:27": "a4eb7909cc503ae7078978d570327e7a21897a52b64820ee00e2c4a5c6dfbbcf",
+    "mckay bd:28": "b53173d7a349603a487d7c9038d97eff5e7343e5cd82364f38a312c232ab1d0f",
+    "mckay bd:29": "0e3410d247122c03fc08ea84e5e3921aff6554f30213474f02cffb45c03e1cac",
+    "mckay bd:30": "1eb422c1d1fe0e731edf79b3a3bdb71495139ed70f5c5e902e1b1263e7e09af1",
 }
 
 
@@ -140,6 +191,9 @@ def outputs(tmp: Path) -> dict:
         got[f"build {label} n={n}"] = _sha(_main("walls", "build", "--type", label, "-n", str(n)))
     for label, n, n_vertices in CONE_CHECKS:
         got[f"cone {label} n={n}"] = _cone_checks(tmp, label, n, n_vertices)
+    for group in MCKAY:
+        dynkin = GroupSpec.parse(group).designated_dynkin().label()
+        got[f"mckay {group}"] = _sha(_main("mckay", "verify", group, dynkin))
     return got
 
 

@@ -19,7 +19,13 @@ from quiverstab import (
     sign_vector,
 )
 from quiverstab.cli import main
-from quiverstab.errors import ContextMismatch, DegeneratePlane, SamplerExhausted
+from quiverstab import walls
+from quiverstab.errors import (
+    ArrangementTooLarge,
+    ContextMismatch,
+    DegeneratePlane,
+    SamplerExhausted,
+)
 from quiverstab.walls import (
     Hyperplane,
     SlicePlane,
@@ -55,6 +61,15 @@ def test_arrangement_counts(label, n, expected):
     arr = build_arrangement(rs, n)
     assert len(arr) == expected
     assert _independent_wall_count(rs, n) == expected
+
+
+def test_arrangement_cap_counts_walls_before_building(rs_a2, monkeypatch):
+    # A2 n=3: 1 + 5 * 3 = 16 walls, each counted as 3 vertices + 24 entries
+    monkeypatch.setattr(walls, "MAX_BUILD_ENTRIES", 16 * 27)
+    assert len(build_arrangement(rs_a2, 3)) == 16
+    monkeypatch.setattr(walls, "MAX_BUILD_ENTRIES", 16 * 27 - 1)
+    with pytest.raises(ArrangementTooLarge, match="A2 n=3 has 16 walls, more than the 15 "):
+        build_arrangement(rs_a2, 3)
 
 
 def test_arrangement_invariants(rs_a2):
