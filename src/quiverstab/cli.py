@@ -169,9 +169,13 @@ def _parse_field(tag: str):
     tag = tag.strip()
     if tag == "Q":
         return QQ
-    if tag.startswith("F") and tag[1:].isdigit():
-        return PrimeField(int(tag[1:]))
-    raise DocumentError(f"unknown field {tag!r} (use Q or F<p>)")
+    try:
+        if not (tag.startswith("F") and tag[1:].isdigit()):
+            raise ValueError
+        p = int(tag[1:])  # refuses digits like "²" and over 4300 digits
+    except ValueError:
+        raise DocumentError(f"unknown field {tag!r} (use Q or F<p>)") from None
+    return PrimeField(p)
 
 
 def _parse_fractions(text: str):
@@ -337,8 +341,7 @@ def _cmd_rep_check(args) -> int:
         for row in mat:
             print("  " + " ".join(str(x) for x in row))
     # a module is a representation whose relation defect vanishes
-    field = rep.field
-    module = all(field.is_zero(x) for mat in defect.values() for row in mat for x in row)
+    module = not any(x for mat in defect.values() for row in mat for x in row)
     print(f"module {str(module).lower()}")
     return 0
 

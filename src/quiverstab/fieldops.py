@@ -6,8 +6,15 @@ mod p).  Matrices are immutable tuples of row tuples; all routines are
 pure functions.  Sizes in this package stay tiny (dimensions well under a
 hundred), so clarity beats asymptotics throughout.
 
-``dot`` is the one pairing and ``signs`` the one sign kernel; on integer
-vectors both stay in int arithmetic.
+A field is a row normaliser, not a scalar calculator: every kernel
+computes with Python operators and hands each row once to
+``field.reduce``, the identity over Q and ``% p`` over F_p.  Elements are
+kept reduced, so a zero entry is a falsy one; ``rref`` reduces its input
+rows first and accepts any ints.
+
+``dot`` is the one pairing, of vectors and of matrix rows and columns
+alike, and ``signs`` the one sign kernel; on integer vectors both stay in
+int arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .errors import NonIntegralEntry, UnsupportedField
 
 
 class Rationals:
-    """The field of rational numbers with exact Fraction arithmetic."""
+    """The field of rational numbers; elements are Fractions, rows need no reduction."""
 
     name = "Q"
 
@@ -30,25 +37,13 @@ class Rationals:
     def coerce(self, x):
         return Fraction(x)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def is_zero(self, a):
-        return a == 0
+    def reduce(self, values):
+        return tuple(values)
 
     def __repr__(self):
         return "Rationals()"
@@ -98,25 +93,14 @@ class PrimeField:
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def is_zero(self, a):
-        return a % self.p == 0
+    def reduce(self, values):
+        p = self.p
+        return tuple([x % p for x in values])
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -132,10 +116,10 @@ QQ = Rationals()
 
 
 def dot(coeffs, values):
-    """Exact pairing sum_i coeffs[i] * values[i] of two rational vectors.
+    """Exact pairing sum_i coeffs[i] * values[i] of two vectors.
 
-    The sum starts at the int 0: two integer vectors pair to an int, and a
-    vector with a Fraction entry pairs to a Fraction.
+    The sum starts at the int 0: two integer vectors pair to an int (over
+    F_p, unreduced), and a vector with a Fraction entry pairs to a Fraction.
     """
     return sum(map(mul, coeffs, values))
 
@@ -180,82 +164,59 @@ def mat_coerce(field, rows):
     return tuple(tuple(field.coerce(x) for x in row) for row in rows)
 
 
-def mat_sub(field, a, b):
-    return tuple(
-        tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_mul(field, a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions disagree")
-    bt = tuple(zip(*b)) if b else ()
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            s = field.zero
-            for x, y in zip(row, col):
-                s = field.add(s, field.mul(x, y))
-            out_row.append(s)
-        out.append(tuple(out_row))
-    return tuple(out)
+    bt = tuple(zip(*b))
+    return tuple(field.reduce([dot(row, col) for col in bt]) for row in a)
 
 
 def mat_vec(field, a, v):
-    out = []
-    for row in a:
-        s = field.zero
-        for x, y in zip(row, v):
-            s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return tuple(out)
+    """The product a v; an empty v gives field.zero entries, not the int 0."""
+    return field.reduce([dot(row, v) or field.zero for row in a])
 
 
 def trace(field, a):
-    s = field.zero
-    for i, row in enumerate(a):
-        s = field.add(s, row[i])
-    return s
+    """The diagonal of ``a`` paired with the all-ones vector."""
+    return mat_vec(field, [[row[i] for i, row in enumerate(a)]], [1] * len(a))[0]
 
 
-def leading_index(field, row):
-    """Column of the first nonzero entry of ``row``, or None for a zero row."""
-    return next((j for j, x in enumerate(row) if not field.is_zero(x)), None)
+def leading_index(row):
+    """Column of the first nonzero entry of a reduced ``row``, or None for a zero row."""
+    return next((j for j, x in enumerate(row) if x), None)
+
+
+def _subtract(field, v, c, row):
+    """The row update v - c * row, skipping the zero entries of ``row``."""
+    return field.reduce([x - c * y if y else x for x, y in zip(v, row)])
 
 
 def reduce_against(field, basis, pivots, vec):
     """Reduce ``vec`` against echelon rows ``basis`` with pivot columns ``pivots``."""
-    v = list(vec)
     for row, piv in zip(basis, pivots):
-        c = v[piv]
-        if field.is_zero(c):
-            continue
-        for j in range(piv, len(v)):
-            v[j] = field.sub(v[j], field.mul(c, row[j]))
-    return tuple(v)
+        c = vec[piv]
+        if c:
+            vec = _subtract(field, vec, c, row)
+    return tuple(vec)
 
 
 def echelon_insert(field, basis, pivots, vec):
-    """Insert ``vec`` into a reduced echelon basis.  Returns True if rank grew.
+    """Insert a reduced ``vec`` into a reduced echelon basis.  Returns True if rank grew.
 
     ``basis`` and ``pivots`` are parallel lists kept sorted by pivot column;
     rows are normalized to leading coefficient one and fully reduced.
     """
     v = reduce_against(field, basis, pivots, vec)
-    piv = leading_index(field, v)
+    piv = leading_index(v)
     if piv is None:
         return False
     inv = field.inv(v[piv])
-    v = tuple(field.mul(inv, x) for x in v)
+    v = field.reduce([inv * x for x in v])
     # clear the new pivot column in the existing rows
     for k, row in enumerate(basis):
         c = row[piv]
-        if field.is_zero(c):
-            continue
-        basis[k] = tuple(
-            field.sub(x, field.mul(c, y)) for x, y in zip(row, v)
-        )
+        if c:
+            basis[k] = _subtract(field, row, c, v)
     at = next((k for k, q in enumerate(pivots) if q > piv), len(pivots))
     basis.insert(at, v)
     pivots.insert(at, piv)
@@ -267,7 +228,7 @@ def rref(field, rows):
     basis: list = []
     pivots: list = []
     for row in rows:
-        echelon_insert(field, basis, pivots, tuple(row))
+        echelon_insert(field, basis, pivots, field.reduce(row))
     return tuple(basis), tuple(pivots)
 
 
@@ -285,15 +246,15 @@ def nullspace(field, rows, ncols: int):
         vec = [field.zero] * ncols
         vec[f] = field.one
         for row, piv in zip(basis, pivots):
-            vec[piv] = field.neg(row[f])
-        out.append(tuple(vec))
+            vec[piv] = -row[f]
+        out.append(field.reduce(vec))
     return tuple(out)
 
 
 def invert(field, a):
     """Inverse of a square matrix, or None if singular."""
     n = len(a)
-    aug = [tuple(a[i]) + tuple(identity(field, n)[i]) for i in range(n)]
+    aug = [tuple(row) + e for row, e in zip(a, identity(field, n))]
     basis, pivots = rref(field, aug)
     if list(pivots) != list(range(n)):
         return None

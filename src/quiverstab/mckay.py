@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GroupTooLarge, InvalidRank, NoIsomorphism, RoundingFailure
-from .fieldops import PrimeField, _is_prime, dot, nullspace, rref
+from .fieldops import PrimeField, _is_prime, dot, mat_mul, nullspace, rref
 from .rootsys import MAX_GROUP_ORDER, DynkinType, RootSystem
 
 _KEY_DIGITS = 9
@@ -359,17 +359,15 @@ def _central_characters(structure, q):
             if len(basis) == 1:
                 split.append((basis, pivots))
                 continue
-            restricted = [[dot(mat[p], b) % q for b in basis] for p in pivots]
-            columns = list(zip(*basis))
+            restricted = mat_mul(field, [mat[p] for p in pivots], tuple(zip(*basis)))
             for lam in _roots(_charpoly(restricted, q), q):
                 shifted = [
                     [(x - lam) % q if u == t else x for t, x in enumerate(row)]
                     for u, row in enumerate(restricted)
                 ]
-                split.append(rref(field, [
-                    [dot(coords, col) % q for col in columns]
-                    for coords in nullspace(field, shifted, len(basis))
-                ]))
+                split.append(rref(
+                    field, mat_mul(field, nullspace(field, shifted, len(basis)), basis)
+                ))
         spaces = split
     if len(spaces) != r or any(pivots != (0,) for _, pivots in spaces):
         raise RoundingFailure(f"the class matrices do not split into {r} eigenlines over F_{q}")

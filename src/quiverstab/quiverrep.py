@@ -10,6 +10,7 @@ representations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     UnsupportedField,
     UnsupportedType,
 )
-from .fieldops import PrimeField, identity, invert, mat_coerce, mat_mul, mat_sub, zeros
+from .fieldops import PrimeField, identity, invert, mat_coerce, mat_mul, zeros
 from .rootsys import RootSystem
 
 INF = "inf"
@@ -158,44 +159,25 @@ def moment_defect(rep: FramedRep):
     dims = rep.dims
     defect = {i: zeros(field, dims.v[i], dims.v[i]) for i in rep.quiver.rs.vertices}
 
-    def add(vertex, mat, sign):
-        if sign > 0:
-            defect[vertex] = tuple(
-                tuple(field.add(x, y) for x, y in zip(r1, r2))
-                for r1, r2 in zip(defect[vertex], mat)
-            )
-        else:
-            defect[vertex] = mat_sub(field, defect[vertex], mat)
+    def add(vertex, mat, op):
+        defect[vertex] = tuple(
+            field.reduce(map(op, r1, r2)) for r1, r2 in zip(defect[vertex], mat)
+        )
 
     for a in rep.quiver.originals():
         x = rep.matrix(a.label)
         y = rep.matrix(a.partner)
         h, t = dims.at(a.head), dims.at(a.tail)
         if a.head != INF and t:
-            add(a.head, mat_mul(field, x, y), +1)
+            add(a.head, mat_mul(field, x, y), operator.add)
         if a.tail != INF and h:
-            add(a.tail, mat_mul(field, y, x), -1)
+            add(a.tail, mat_mul(field, y, x), operator.sub)
     return defect
 
 
 def is_pi_bar_module(rep: FramedRep) -> bool:
     """True when every relation value of :func:`moment_defect` vanishes."""
-    field = rep.field
-    return all(
-        field.is_zero(x)
-        for mat in moment_defect(rep).values()
-        for row in mat
-        for x in row
-    )
-
-
-def _orbit_invariants(field, x, y, m):
-    px = field.one
-    py = field.one
-    for _ in range(m):
-        px = field.mul(px, x)
-        py = field.mul(py, y)
-    return (px, field.mul(x, y), py)
+    return not any(x for mat in moment_defect(rep).values() for row in mat for x in row)
 
 
 def framed_orbit_sum(rs: RootSystem, points, field) -> FramedRep:
@@ -219,12 +201,13 @@ def framed_orbit_sum(rs: RootSystem, points, field) -> FramedRep:
     coords = []
     for x, y in points:
         fx, fy = field.coerce(x), field.coerce(y)
-        if field.is_zero(fx) and field.is_zero(fy):
+        if not (fx or fy):
             raise NonFreeOrbit("the origin is fixed by the whole group")
         coords.append((fx, fy))
     seen = []
     for fx, fy in coords:
-        inv = _orbit_invariants(field, fx, fy, m)
+        # x^m, xy and y^m separate the orbits of the cyclic group of order m
+        inv = field.reduce([fx**m, fx * fy, fy**m])
         if inv in seen:
             raise DuplicateOrbit("two points lie in one group orbit")
         seen.append(inv)
@@ -245,7 +228,7 @@ def framed_orbit_sum(rs: RootSystem, points, field) -> FramedRep:
         wrap = (m > 2 and (i, j) == (0, m - 1)) or (m == 2 and a.label.startswith("e2"))
         if wrap:
             matrices[a.label] = diag([x for x, _ in coords])
-            matrices[a.partner] = diag([field.neg(y) for _, y in coords])
+            matrices[a.partner] = diag(field.reduce([-y for _, y in coords]))
         else:
             matrices[a.label] = diag([y for _, y in coords])
             matrices[a.partner] = diag([x for x, _ in coords])

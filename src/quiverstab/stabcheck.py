@@ -193,7 +193,7 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
         for k, rows in enumerate(sig):
             bits = held[k].get(rows)
             if bits is None:
-                pivots = tuple(leading_index(field, row) for row in rows)
+                pivots = tuple(leading_index(row) for row in rows)
                 bits = held[k][rows] = sum(
                     1 << bit for bit, seed in seeds[k]
                     if not any(reduce_against(field, rows, pivots, seed))
@@ -421,10 +421,10 @@ def _relation_jacobian(rep: FramedRep):
                     col[at:at + m] = y[j]
                 if a.tail != INF:
                     for r in range(n):
-                        col[offsets[a.tail] + r * n + j] = field.neg(y[r][i])
+                        col[offsets[a.tail] + r * n + j] = -y[r][i]
                 if not a.original:
-                    col = [field.neg(x) for x in col]
-                columns.append(tuple(col))
+                    col = [-x for x in col]
+                columns.append(field.reduce(col))
     return columns
 
 

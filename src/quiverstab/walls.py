@@ -33,16 +33,6 @@ class Hyperplane:
 
     normal: RootLatticeVector
 
-    @classmethod
-    def from_coeffs(cls, rs: RootSystem, coeffs) -> "Hyperplane":
-        coeffs = primitive(coeffs)
-        lead = next((c for c in coeffs if c != 0), None)
-        if lead is None:
-            raise ValueError("zero normal vector")
-        if lead < 0:
-            coeffs = tuple(-c for c in coeffs)
-        return cls(RootLatticeVector(rs, coeffs))
-
     @property
     def coeffs(self):
         return self.normal.coeffs
@@ -530,9 +520,10 @@ def _slice_svg(plane: SlicePlane, cells, label_names) -> str:
 
     def px(point):
         s, t = point
-        x = float((s - smin) / (smax - smin)) * size
-        y = size - float((t - tmin) / (tmax - tmin)) * size
-        return f"{x:.3f},{y:.3f}"
+        return (
+            float((s - smin) / (smax - smin)) * size,
+            size - float((t - tmin) / (tmax - tmin)) * size,
+        )
 
     color_of = {
         name: _PALETTE[i % len(_PALETTE)] for i, name in enumerate(label_names)
@@ -543,7 +534,7 @@ def _slice_svg(plane: SlicePlane, cells, label_names) -> str:
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     for cell in cells:
-        points = " ".join(px(p) for p in cell.vertices)
+        points = " ".join("{:.3f},{:.3f}".format(*px(p)) for p in cell.vertices)
         fill = color_of.get(cell.label, "none")
         parts.append(
             f'<polygon points="{points}" fill="{fill}" '
@@ -552,9 +543,7 @@ def _slice_svg(plane: SlicePlane, cells, label_names) -> str:
     for cell in cells:
         if cell.label == "-":
             continue
-        s, t = geom2d.centroid(cell.vertices)
-        x = float((s - smin) / (smax - smin)) * size
-        y = size - float((t - tmin) / (tmax - tmin)) * size
+        x, y = px(geom2d.centroid(cell.vertices))
         parts.append(
             f'<text x="{x:.3f}" y="{y:.3f}" font-family="monospace" '
             f'font-size="14" text-anchor="middle">{cell.label}</text>'

@@ -28,7 +28,7 @@ from quiverstab.stability import pair_dim
 
 
 def _pivots(field, rows):
-    return [next(j for j, x in enumerate(row) if not field.is_zero(x)) for row in rows]
+    return [next(j for j, x in enumerate(row) if x) for row in rows]
 
 
 def _contained(field, small, big) -> bool:
@@ -38,7 +38,7 @@ def _contained(field, small, big) -> bool:
         pivots = _pivots(field, rows_b)
         for row in rows_s:
             residue = reduce_against(field, list(rows_b), pivots, row)
-            if any(not field.is_zero(x) for x in residue):
+            if any(residue):
                 return False
     return True
 
@@ -112,8 +112,8 @@ def _coords_in_rref(field, rows, vec):
     coords = tuple(vec[p] for p in _pivots(field, rows))
     residue = list(vec)
     for c, row in zip(coords, rows):
-        residue = [field.sub(x, field.mul(c, y)) for x, y in zip(residue, row)]
-    if any(not field.is_zero(x) for x in residue):
+        residue = field.reduce([x - c * y for x, y in zip(residue, row)])
+    if any(residue):
         raise AssertionError("vector is not in the subspace")
     return coords
 

@@ -47,14 +47,14 @@ def reference_jacobian(rep: FramedRep):
                     for r_ in range(m)
                 )
                 bumped = [list(row) for row in rep.matrix(a.label)]
-                bumped[i][j] = field.add(bumped[i][j], field.one)
+                bumped[i][j] = field.reduce([bumped[i][j] + field.one])[0]
                 plus = rep.with_matrix(a.label, tuple(tuple(r) for r in bumped))
                 pure = zeroed.with_matrix(a.label, single)
                 f_plus = _defect_flat(plus)
                 f_pure = _defect_flat(pure)
                 columns.append(
-                    tuple(
-                        field.sub(field.sub(p, b), q)
+                    field.reduce(
+                        p - b - q
                         for p, b, q in zip(f_plus, base_flat, f_pure)
                     )
                 )
@@ -81,10 +81,10 @@ def reference_gauge_columns(rep: FramedRep):
                     block = [[field.zero] * n for _ in range(m)]
                     if a.head == vertex:
                         for c in range(n):
-                            block[i][c] = field.add(block[i][c], x[j][c])
+                            block[i][c] = field.reduce([block[i][c] + x[j][c]])[0]
                     if a.tail == vertex:
                         for r in range(m):
-                            block[r][j] = field.sub(block[r][j], x[r][i])
+                            block[r][j] = field.reduce([block[r][j] - x[r][i]])[0]
                     col.extend(v for row in block for v in row)
                 stab_cols.append(tuple(col))
     return stab_cols

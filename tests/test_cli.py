@@ -303,6 +303,10 @@ def _fp_doc_with_entry(entry):
           "--plane", "base=1e9999999,0;d1=1,0;d2=0,1"], "DocumentError"),
         (["walls", "build", "--type", "A2", "-n", "1000000000"], "ArrangementTooLarge"),
         (["walls", "build", "--type", "A119", "-n", "5"], "ArrangementTooLarge"),
+        (["rep", "orbit-sum", "--type", "A1", "--points", "1,2", "--field", "F\u00b2"],
+         "DocumentError"),
+        (["rep", "orbit-sum", "--type", "A1", "--points", "1,2", "--field", "F" + "7" * 5000],
+         "DocumentError"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -315,7 +319,7 @@ def _fp_doc_with_entry(entry):
          "slice-huge-n-in-a-wall", "rank-huge", "rank-over-cap", "rank-over-cap-d",
          "rank-over-cap-doc", "rank-superscript-digit", "rank-5000-digits",
          "exponent-theta-entry", "exponent-rep-matrix", "exponent-plane", "build-huge-n",
-         "build-a119-n5"],
+         "build-a119-n5", "field-superscript-digit", "field-5000-digits"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -465,7 +469,7 @@ point_list = st.one_of(
 )
 field_text = st.one_of(
     st.sampled_from(["Q", "F2", "F3", "F7", "F4", "F1", "F0", "F-3", "Fx", "F", "q", "f5",
-                     f"F{HUGE_PRIME}", f"F{2**31 - 1}"]),
+                     f"F{HUGE_PRIME}", f"F{2**31 - 1}", "F\u00b2"]),
     st.text(max_size=3),
 )
 craw_wye_argv = st.builds(

@@ -1,0 +1,101 @@
+"""Contract of the fieldops kernels: reduced ints over F_p, Fractions over Q."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from quiverstab.fieldops import (
+    QQ,
+    PrimeField,
+    invert,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rank,
+    rref,
+    trace,
+)
+
+
+def _matrix(entries, rows, cols):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda m: tuple(map(tuple, m)))
+
+
+@st.composite
+def prime_case(draw):
+    """A prime, an m x n int matrix with entries far outside [0, p), and n."""
+    p = draw(st.sampled_from([2, 3, 283]))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return p, draw(_matrix(st.integers(-3 * p, 3 * p), m, n)), n
+
+
+@st.composite
+def rational_case(draw):
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return draw(_matrix(entries, m, n)), n
+
+
+def _entries(result):
+    """Every scalar in a nest of tuples; None, a singular inverse, has none."""
+    if isinstance(result, tuple):
+        for x in result:
+            yield from _entries(x)
+    elif result is not None:
+        yield result
+
+
+def _square(rows, n):
+    """The leading min(m, n) square block, so invert always has a square input."""
+    k = min(len(rows), n)
+    return tuple(row[:k] for row in rows[:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_case())
+def test_prime_field_kernels_reduce_their_input(case):
+    p, rows, n = case
+    field = PrimeField(p)
+    reduced = tuple(tuple(x % p for x in row) for row in rows)
+    square, square_reduced = _square(rows, n), _square(reduced, n)
+    basis, pivots = rref(field, rows)
+    assert (basis, pivots) == rref(field, reduced)
+    assert nullspace(field, rows, n) == nullspace(field, reduced, n)
+    assert rank(field, rows) == rank(field, reduced) == len(basis)
+    assert invert(field, square) == invert(field, square_reduced)
+    results = [basis, nullspace(field, rows, n), invert(field, square)]
+    if n:
+        vec = tuple(range(-n, 0))
+        results.append(mat_vec(field, rows, vec))
+        results.append(mat_mul(field, rows, tuple(zip(*rows))))
+    for x in _entries(tuple(results)):
+        assert type(x) is int and 0 <= x < p
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_case())
+def test_rational_kernels_return_fractions(case):
+    rows, n = case
+    square = _square(rows, n)
+    results = [
+        rref(QQ, rows)[0],
+        nullspace(QQ, rows, n),
+        invert(QQ, square),
+        mat_mul(QQ, rows, tuple(zip(*rows))),
+        mat_mul(QQ, tuple(zip(*rows)), rows),
+        mat_vec(QQ, rows, (Fraction(1, 2),) * n),
+        trace(QQ, square),
+    ]
+    for x in _entries(tuple(results)):
+        assert type(x) is Fraction
+
+
+def test_empty_products_are_field_zeros():
+    # inner dimension 0: a 2 x 0 matrix times a 0 x 0 one, and by the empty vector
+    assert mat_mul(QQ, ((), ()), ()) == ((), ())
+    assert mat_vec(QQ, ((), ()), ()) == (Fraction(0), Fraction(0))
+    assert all(type(x) is Fraction for x in mat_vec(QQ, ((), ()), ()))
+    assert type(trace(QQ, ())) is Fraction and trace(QQ, ()) == 0
+    assert trace(PrimeField(3), ()) == 0
