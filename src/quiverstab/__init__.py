@@ -44,6 +44,7 @@ from .walls import (
     Hyperplane,
     SlicePlane,
     build_arrangement,
+    chamber_label,
     figure_plane,
     interior_point,
     render_slice,

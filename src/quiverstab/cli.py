@@ -309,16 +309,7 @@ def _cmd_walls_slice(args) -> int:
     plane = (
         _parse_plane(args.plane, len(rs.vertices)) if args.plane else figure_plane(rs)
     )
-    if args.label:
-        labels = [_parse_label(text, args.n) for text in args.label]
-    else:
-        non_zero = [i for i in rs.vertices if i != 0]
-        labels = []
-        for mask in range(1 << len(non_zero)):
-            K = frozenset(v for b, v in enumerate(non_zero) if mask >> b & 1)
-            name = "C[" + ",".join(str(v) for v in sorted(K)) + "]"
-            labels.append((name, ConeSpec(kind="C", n=args.n, K=K)))
-        labels.sort(key=lambda pair: pair[0])
+    labels = [_parse_label(text, args.n) for text in args.label] if args.label else None
     result = render_slice(rs, args.n, plane, labels)
     _write_text(args.out, result.svg)
     if args.table:

@@ -3,21 +3,29 @@
 Lines are triples (a, b, c) for a*x + b*y + c = 0 with rational
 coefficients.  Each is scaled to a primitive integer line whose first
 nonzero of a, b is positive, which deduplicates it and gives it the
-integer direction (b, -a).  The four window borders join the set as more lines;
-every pair of lines is intersected once, the points inside the closed
-window are sorted along each line, the edges leaving each vertex are
-ordered by their integer directions, and the faces are traced.  Euler's
-formula V - E + F = 2 (the outer face counted) must hold on the traced
-graph, so a tracing fault raises instead of drawing a wrong figure.  The
-only public entry point returns the bounded open cells inside the window
-as counterclockwise vertex cycles; every cell is convex because it is an
-intersection of half planes.  Points are Fractions.
+integer direction (b, -a).  The four window borders join the set as more
+lines, and every pair of lines is intersected once.  A point is an integer
+homogeneous triple (X, Y, W) for (X/W, Y/W), with W > 0 and gcd 1, so
+equal points have equal triples, and the window test compares int
+products.  The points inside the closed window are ranked once in
+lexicographic order, which along each line is the order of its points read
+forwards or backwards; the edges leaving each vertex are ordered by their
+integer directions, and the faces are traced.  A face is a cell when it
+turns counterclockwise at its lexicographically least vertex, a strict
+corner of every traced face, which one integer 3x3 determinant decides.
+Euler's formula V - E + F = 2 (the outer face counted) must hold on the
+traced graph, so a tracing fault raises instead of drawing a wrong figure.
+The only public entry point returns the bounded open cells inside the
+window as counterclockwise vertex cycles; every cell is convex because it
+is an intersection of half planes.  The returned vertices are pairs of
+Fractions, each converted once from its triple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd, lcm
 
 from .errors import DegeneratePlane, FaceCountMismatch
 from .fieldops import primitive
@@ -37,11 +45,17 @@ def _direction_cmp(d1, d2):
     return -1 if cross > 0 else 1 if cross < 0 else 0
 
 
-def _signed_area2(cycle) -> Fraction:
-    s = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(cycle, cycle[1:] + cycle[:1]):
-        s += x1 * y2 - x2 * y1
-    return s
+def _lex_cmp(p, q):
+    """Lexicographic (x, y) order of two homogeneous points with W > 0."""
+    (x1, y1, w1), (x2, y2, w2) = p, q
+    d = x1 * w2 - x2 * w1 or y1 * w2 - y2 * w1
+    return (d > 0) - (d < 0)
+
+
+def _turn(p, q, r) -> int:
+    """det(p, q, r) of three homogeneous points: > 0 when p, q, r turn left."""
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = p, q, r
+    return x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2) + w1 * (x2 * y3 - x3 * y2)
 
 
 def _integer_line(line):
@@ -62,36 +76,48 @@ def arrangement_cells(lines, window):
     :class:`DegeneratePlane`; a traced graph that fails Euler's formula
     raises :class:`FaceCountMismatch`.
     """
-    xmin, xmax, ymin, ymax = (Fraction(w) for w in window)
+    bounds = [Fraction(w) for w in window]
+    xmin, xmax, ymin, ymax = bounds
     if not (xmin < xmax and ymin < ymax):
         raise DegeneratePlane("window must have positive extent")
     borders = [(1, 0, -xmin), (1, 0, -xmax), (0, 1, -ymin), (0, 1, -ymax)]
     keys = list(dict.fromkeys(_integer_line(line) for line in borders + list(lines)))
 
-    # every pair once; each line keeps the points inside the closed window
+    # every pair once; each line keeps the points inside the closed window,
+    # tested against the window over one common denominator
+    den = lcm(*[w.denominator for w in bounds])
+    x0, x1, y0, y1 = (w.numerator * (den // w.denominator) for w in bounds)
     on_line = [set() for _ in keys]
     for i, (a1, b1, c1) in enumerate(keys):
         for j in range(i + 1, len(keys)):
             a2, b2, c2 = keys[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
+            w = a1 * b2 - a2 * b1
+            if w == 0:
                 continue
-            p = (Fraction(b1 * c2 - b2 * c1, det), Fraction(a2 * c1 - a1 * c2, det))
-            if xmin <= p[0] <= xmax and ymin <= p[1] <= ymax:
+            x, y = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+            if w < 0:
+                x, y, w = -x, -y, -w
+            if x0 * w <= x * den <= x1 * w and y0 * w <= y * den <= y1 * w:
+                g = gcd(x, y, w)
+                p = (x // g, y // g, w // g)
                 on_line[i].add(p)
                 on_line[j].add(p)
 
-    # outgoing edges per vertex, each as (integer direction, target)
-    outgoing = {}
+    # vertices by lexicographic rank; a line's direction (b, -a) runs up that
+    # order when b > 0 (a line with b = 0 has a > 0 and runs down it)
+    points = sorted(set().union(*on_line), key=cmp_to_key(_lex_cmp))
+    index = {p: k for k, p in enumerate(points)}
+    outgoing = [[] for _ in points]  # per vertex: (integer direction, target)
     edges = 0
     for (a, b, _), pts in zip(keys, on_line):
-        ordered = sorted(pts, key=lambda p: b * p[0] - a * p[1])
+        forward, back = ((b, -a), (-b, a)) if b > 0 else ((-b, a), (b, -a))
+        ordered = sorted([index[p] for p in pts])
         for u, v in zip(ordered, ordered[1:]):
-            outgoing.setdefault(u, []).append(((b, -a), v))
-            outgoing.setdefault(v, []).append(((-b, a), u))
+            outgoing[u].append((forward, v))
+            outgoing[v].append((back, u))
             edges += 1
     rank = {}  # (vertex, neighbour) -> position in the CCW order around vertex
-    for u, out in outgoing.items():
+    for u, out in enumerate(outgoing):
         out.sort(key=cmp_to_key(lambda e, f: _direction_cmp(e[0], f[0])))
         for k, (_, v) in enumerate(out):
             rank[u, v] = k
@@ -109,20 +135,14 @@ def arrangement_cells(lines, window):
             visited.add((u, v))
             cycle.append(u)
             u, v = v, outgoing[v][rank[v, u] - 1][1]
-        if _signed_area2(cycle) > 0:
-            low = min(range(len(cycle)), key=lambda k: cycle[k])
+        low = cycle.index(min(cycle))
+        around = (cycle[low - 1], cycle[low], cycle[(low + 1) % len(cycle)])
+        if _turn(*[points[k] for k in around]) > 0:
             cells.append(tuple(cycle[low:] + cycle[:low]))
-    if len(outgoing) - edges + faces != 2:
+    if len(points) - edges + faces != 2:
         raise FaceCountMismatch(
-            f"traced {len(outgoing)} vertices, {edges} edges and {faces} faces"
+            f"traced {len(points)} vertices, {edges} edges and {faces} faces"
         )
     cells.sort()
-    return cells
-
-
-def centroid(cycle):
-    n = len(cycle)
-    return (
-        sum((p[0] for p in cycle), Fraction(0)) / n,
-        sum((p[1] for p in cycle), Fraction(0)) / n,
-    )
+    pairs = [(Fraction(x, w), Fraction(y, w)) for x, y, w in points]
+    return [tuple([pairs[k] for k in cell]) for cell in cells]

@@ -11,8 +11,10 @@ cone membership.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from . import geom2d
 from .errors import (
@@ -338,18 +340,41 @@ def sample_interior_points(rs: RootSystem, n: int, constraints, count: int, seed
 
 @dataclass(frozen=True)
 class SlicePlane:
-    """An affine 2-plane base + s*d1 + t*d2 with an (s, t) view window."""
+    """An affine 2-plane base + s*d1 + t*d2 with an (s, t) view window.
+
+    ``den`` is the least common denominator of the entries of base, d1 and
+    d2 (always positive) and ``nums`` the integer numerators of the three
+    vectors over it, in that order.  Both are computed once, when the plane
+    is made, so every pairing with the plane is int arithmetic.
+    """
 
     base: tuple
     d1: tuple
     d2: tuple
     window: tuple  # (smin, smax, tmin, tmax)
+    nums: tuple = dc_field(init=False, repr=False, compare=False)
+    den: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        vectors = [[Fraction(x) for x in v] for v in (self.base, self.d1, self.d2)]
+        den = lcm(*[x.denominator for v in vectors for x in v])
+        nums = tuple(tuple([x.numerator * (den // x.denominator) for x in v]) for v in vectors)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def theta_entries(self, s: Fraction, t: Fraction):
-        return tuple(
-            Fraction(b) + s * Fraction(x) + t * Fraction(y)
-            for b, x, y in zip(self.base, self.d1, self.d2)
+        s, t = Fraction(s), Fraction(t)
+        m = lcm(s.denominator, t.denominator)
+        return self._entries_at(
+            s.numerator * (m // s.denominator), t.numerator * (m // t.denominator), m
         )
+
+    def _entries_at(self, s: int, t: int, m: int):
+        """The entries at the point (s/m, t/m) of the plane, m > 0."""
+        den = self.den * m
+        return tuple([
+            Fraction(b * m + x * s + y * t, den) for b, x, y in zip(*self.nums)
+        ])
 
 
 def figure_plane(rs: RootSystem) -> SlicePlane:
@@ -414,17 +439,18 @@ _PALETTE = ("#f4a259", "#8cb369", "#5b8e7d", "#bc4b51", "#f4e285", "#a26769")
 
 
 def _pairings(plane: SlicePlane, coeffs):
-    """(a, b, c): a wall pairs with base + s*d1 + t*d2 as a*s + b*t + c."""
-    return tuple(dot(coeffs, v) for v in (plane.d1, plane.d2, plane.base))
+    """Ints (a, b, c): a wall pairs with base + s*d1 + t*d2 as (a*s + b*t + c) / den."""
+    base, d1, d2 = plane.nums
+    return (dot(coeffs, d1), dot(coeffs, d2), dot(coeffs, base))
 
 
 def _roots(f0, step, span: range) -> range:
     """The m in ``span`` where f0 + m * step vanishes: all of them, or at most one."""
     if step == 0:
         return span if f0 == 0 else range(0)
-    m = Fraction(-f0, step)  # the pairings are ints on a plane with int entries
-    if m.denominator == 1 and span.start <= m < span.stop:
-        return range(m.numerator, m.numerator + 1)
+    m, rest = divmod(-f0, step)
+    if rest == 0 and span.start <= m < span.stop:
+        return range(m, m + 1)
     return range(0)
 
 
@@ -433,12 +459,12 @@ def _check_slice(rs: RootSystem, n: int, plane: SlicePlane):
 
     The arrangement is delta and the families m*delta + alpha (0 <= m < n)
     and m*delta - alpha (1 <= m < n) over the positive roots, all distinct
-    and primitive.  Along a family the pairings with d1, d2 and the base are
-    affine in m, so the family misses or contains the plane for every m,
-    for at most one m, or for none.  A wall that contains the plane raises
-    DegeneratePlane, naming the first such wall in arrangement order;
-    otherwise more than MAX_SLICE_LINES walls that meet the plane raise
-    SliceTooLarge.
+    and primitive.  Along a family the pairings with d1, d2 and the base
+    (int numerators over the plane's ``den``) are affine in m, so the
+    family misses or contains the plane for every m, for at most one m, or
+    for none.  A wall that contains the plane raises DegeneratePlane,
+    naming the first such wall in arrangement order; otherwise more than
+    MAX_SLICE_LINES walls that meet the plane raise SliceTooLarge.
     """
     if n < 1:
         raise ContextMismatch("n must be at least 1")
@@ -446,7 +472,7 @@ def _check_slice(rs: RootSystem, n: int, plane: SlicePlane):
     off_plane = int(step[:2] == (0, 0))  # walls that miss or contain the plane
     containing = [rs.delta] if step == (0, 0, 0) else []
     for alpha in rs.positive_roots:
-        root = _pairings(plane, m_delta_plus_root(rs, 0, alpha, 1).coeffs)
+        root = _pairings(plane, (0, *alpha))  # alpha over the affine vertices
         for sign, span in ((1, range(0, n)), (-1, range(1, n))):
             for f0, s in zip(root[:2], step[:2]):
                 span = _roots(sign * f0, s, span)
@@ -463,12 +489,101 @@ def _check_slice(rs: RootSystem, n: int, plane: SlicePlane):
         )
 
 
-def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels) -> SliceResult:
+@lru_cache(maxsize=128)  # r is at most 119
+def _name_tokens(r: int):
+    """The tokens "k," and "k]" of the chamber names C[..] over 1..r, in string order.
+
+    A name C[k1,..,km] reads "C[" and then the tokens "k1,", .., "km]"
+    ("]" alone for the empty K).  No token is a prefix of another, so names
+    compare as their token sequences do, token by token.  Returns (k, last)
+    pairs, last telling "k]" from "k,"; "r," is left out, as no name
+    continues past r.
+    """
+    tokens = [(f"{k}]", k, True) for k in range(1, r + 1)]
+    tokens += [(f"{k},", k, False) for k in range(1, r)]
+    return tuple((k, last) for _, k, last in sorted(tokens))
+
+
+def chamber_label(theta: StabilityVector, n: int):
+    """The first name C[K] in string order of a chamber C_K holding theta.
+
+    Returns (name, position), the position counted among all 2^r names
+    C[K] (K a subset of the vertices 1..r) in string order, or None when
+    theta lies in no chamber.  At theta, vertex i may lie in K iff
+    theta_i > 0 and in J iff theta_i > (n - 1) theta(delta), and C_K needs
+    theta(delta_J) > 0 as well.  A vertex that may lie in both has
+    theta_i > 0, so moving it from K to J only raises theta(delta_J).  The
+    walk runs over the name tokens depth first and checks each subtree by
+    its best completion: the vertices above it that must lie in K, or, when
+    the subtree needs one more vertex and none must, the free vertex that
+    lowers theta(delta_J) least.  A skipped subtree adds its size to the
+    position.  That is O(r^2) int comparisons, where the exhaustive list of
+    2^r names was exponential.
+    """
+    nums = theta.nums
+    r = len(nums) - 1
+    bar = (n - 1) * dot(theta.rs.delta, nums)
+    in_k = [x > 0 for x in nums]
+    in_j = [x > bar for x in nums]
+    if not all(in_k[i] or in_j[i] for i in range(1, r + 1)):
+        return None
+    w = [d * x for d, x in zip(theta.rs.delta, nums)]  # what vertex i in J adds to theta(delta_J)
+    # over the vertices above k: the sum of w, the sum of w over those that
+    # must lie in K (w > 0 there, so it is 0 only when none must) and the
+    # least w of those that may lie in either; first_not_j[k] is the first
+    # vertex from k on that may not lie in J
+    above = [0] * (r + 1)
+    forced = [0] * (r + 1)
+    least_free = [None] * (r + 1)
+    first_not_j = [r + 1] * (r + 2)
+    for k in range(r, 0, -1):
+        above[k - 1] = above[k] + w[k]
+        forced[k - 1] = forced[k] + (0 if in_j[k] else w[k])
+        free = least_free[k]
+        if in_k[k] and in_j[k] and (free is None or w[k] < free):
+            free = w[k]
+        least_free[k - 1] = free
+        first_not_j[k] = first_not_j[k + 1] if in_j[k] else k
+
+    tokens = _name_tokens(r)
+    chosen = []
+    last, outside, position = 0, w[0], 0  # outside: theta(delta_J) over J up to last
+    while True:
+        for k, is_last in tokens:
+            if k <= last:
+                continue
+            ok = in_k[k] and first_not_j[last + 1] >= k
+            if ok:
+                gap = outside + above[last] - above[k - 1]  # J up to k, k in K
+                if is_last:
+                    ok = not forced[k] and gap + above[k] > 0
+                elif forced[k]:
+                    ok = gap + above[k] - forced[k] > 0
+                else:
+                    ok = least_free[k] is not None and gap + above[k] > least_free[k]
+            if not ok:
+                position += 1 if is_last else (1 << (r - k)) - 1
+                continue
+            chosen.append(k)
+            if is_last:
+                return "C[" + ",".join(map(str, chosen)) + "]", position
+            last, outside = k, gap
+            break
+        else:
+            # only the root gets here: the last name, C[], with every vertex in J
+            if first_not_j[1] > r and w[0] + above[0] > 0:
+                return "C[]", position
+            return None
+
+
+def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels=None) -> SliceResult:
     """Intersect the walls with the plane, fill labeled cells, emit SVG + TSV.
 
     ``labels`` is a sequence of (name, ConeSpec) pairs; each open cell gets
     the first label whose membership test passes at the cell's exact
-    centroid.  The SVG canvas is fixed at 600 x 600 with three-decimal
+    centroid, and the i-th label's colour.  Without ``labels`` a cell gets
+    its :func:`chamber_label` and the colour of its position in the name
+    order.  The SVG canvas is fixed at 600 x 600 with three-decimal
     coordinates, so identical inputs give identical bytes.
     """
     _check_slice(rs, n, plane)
@@ -481,22 +596,26 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels) -> SliceResu
 
     cycles = geom2d.arrangement_cells(lines, plane.window)
     context = tuple(n * d for d in rs.delta)
-    cells = []
+    if labels is not None:
+        color_of = {name: _PALETTE[i % len(_PALETTE)] for i, (name, _) in enumerate(labels)}
+    cells, fills, centroids = [], [], []
     for idx, cycle in enumerate(cycles):
-        s, t = geom2d.centroid(cycle)
-        theta = make_theta(rs, context, plane.theta_entries(s, t))
-        signs = sign_vector(arr, theta)
-        label = "-"
-        for name, cone in labels:
-            if cone_membership(theta, cone):
-                label = name
-                break
+        point = _centroid(cycle)
+        theta = make_theta(rs, context, plane._entries_at(*point))
+        if labels is None:
+            found = chamber_label(theta, n)
+            label = found[0] if found else "-"
+            fills.append(_PALETTE[found[1] % len(_PALETTE)] if found else "none")
+        else:
+            label = next((name for name, cone in labels if cone_membership(theta, cone)), "-")
+            fills.append(color_of.get(label, "none"))
+        centroids.append(point)
         cells.append(
             SliceCell(
                 cell_id=idx,
                 vertices=cycle,
                 theta=theta,
-                signs=signs,
+                signs=sign_vector(arr, theta),
                 label=label,
             )
         )
@@ -508,42 +627,52 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels) -> SliceResu
         )
     table = "\n".join(table_lines) + "\n"
 
-    svg = _slice_svg(plane, cells, [name for name, _ in labels])
+    svg = _slice_svg(plane, cells, fills, centroids)
     return SliceResult(
         arrangement=arr, plane=plane, cells=tuple(cells), svg=svg, table=table
     )
 
 
-def _slice_svg(plane: SlicePlane, cells, label_names) -> str:
-    smin, smax, tmin, tmax = (Fraction(x) for x in plane.window)
+def _centroid(cycle):
+    """The vertex average of a cycle of Fraction pairs as ints (s, t, m): (s/m, t/m)."""
+    m = lcm(*[c.denominator for p in cycle for c in p])
+    s = sum([x.numerator * (m // x.denominator) for x, _ in cycle])
+    t = sum([y.numerator * (m // y.denominator) for _, y in cycle])
+    return s, t, m * len(cycle)
+
+
+def _slice_svg(plane: SlicePlane, cells, fills, centroids) -> str:
+    bounds = [Fraction(x) for x in plane.window]
+    wden = lcm(*[x.denominator for x in bounds])
+    s0, s1, t0, t1 = (x.numerator * (wden // x.denominator) for x in bounds)
     size = 600
 
-    def px(point):
-        s, t = point
+    def px(s, sd, t, td):
+        """Canvas position of (s/sd, t/td): one int true division per axis,
+        correctly rounded like float(Fraction)."""
         return (
-            float((s - smin) / (smax - smin)) * size,
-            size - float((t - tmin) / (tmax - tmin)) * size,
+            (s * wden - s0 * sd) / (sd * (s1 - s0)) * size,
+            size - (t * wden - t0 * td) / (td * (t1 - t0)) * size,
         )
 
-    color_of = {
-        name: _PALETTE[i % len(_PALETTE)] for i, name in enumerate(label_names)
-    }
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    for cell in cells:
-        points = " ".join("{:.3f},{:.3f}".format(*px(p)) for p in cell.vertices)
-        fill = color_of.get(cell.label, "none")
+    for cell, fill in zip(cells, fills):
+        points = " ".join(
+            "{:.3f},{:.3f}".format(*px(x.numerator, x.denominator, y.numerator, y.denominator))
+            for x, y in cell.vertices
+        )
         parts.append(
             f'<polygon points="{points}" fill="{fill}" '
             f'stroke="#333333" stroke-width="1"/>'
         )
-    for cell in cells:
+    for cell, (s, t, m) in zip(cells, centroids):
         if cell.label == "-":
             continue
-        x, y = px(geom2d.centroid(cell.vertices))
+        x, y = px(s, m, t, m)
         parts.append(
             f'<text x="{x:.3f}" y="{y:.3f}" font-family="monospace" '
             f'font-size="14" text-anchor="middle">{cell.label}</text>'

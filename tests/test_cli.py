@@ -303,6 +303,8 @@ def _fp_doc_with_entry(entry):
           "--plane", "base=1e9999999,0;d1=1,0;d2=0,1"], "DocumentError"),
         (["walls", "build", "--type", "A2", "-n", "1000000000"], "ArrangementTooLarge"),
         (["walls", "build", "--type", "A119", "-n", "5"], "ArrangementTooLarge"),
+        (["walls", "slice", "--type", "A119", "-n", "1", "--out", "{svg}"], "SliceTooLarge"),
+        (["walls", "slice", "--type", "D32", "-n", "1", "--out", "{svg}"], "SliceTooLarge"),
         (["rep", "orbit-sum", "--type", "A1", "--points", "1,2", "--field", "F\u00b2"],
          "DocumentError"),
         (["rep", "orbit-sum", "--type", "A1", "--points", "1,2", "--field", "F" + "7" * 5000],
@@ -319,7 +321,8 @@ def _fp_doc_with_entry(entry):
          "slice-huge-n-in-a-wall", "rank-huge", "rank-over-cap", "rank-over-cap-d",
          "rank-over-cap-doc", "rank-superscript-digit", "rank-5000-digits",
          "exponent-theta-entry", "exponent-rep-matrix", "exponent-plane", "build-huge-n",
-         "build-a119-n5", "field-superscript-digit", "field-5000-digits"],
+         "build-a119-n5", "slice-a119-n1", "slice-d32-n1", "field-superscript-digit",
+         "field-5000-digits"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -354,6 +357,17 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
 def test_rational_literals_up_to_the_exponent_cap_parse():
     doc = {"type": "A1", "n": 1, "entries": {"0": "25e-1", "1": "1E4_300"}}
     assert theta_from_doc(doc).entries == (Fraction(5, 2), Fraction(10**4300))
+
+
+@pytest.mark.parametrize("type_label, cells", [("A11", 23), ("A12", 23), ("D12", 47), ("E8", 96)])
+def test_default_labels_are_found_per_cell(capsys, tmp_path, type_label, cells):
+    # trying all 2^rank chambers at every cell took 10 s for A11 and 1 s for E8
+    start = time.monotonic()
+    code, out, err = run(capsys, "walls", "slice", "--type", type_label, "-n", "1",
+                         "--out", str(tmp_path / "x.svg"))
+    assert time.monotonic() - start < 1.0
+    assert code == 0 and err == ""
+    assert out.endswith(f"cells {cells} labeled 1\n")
 
 
 def test_huge_n_slice_refusals_are_exact(capsys, tmp_path):
@@ -495,11 +509,61 @@ mckay_verify_argv = st.builds(lambda g, t: ["mckay", "verify", g, t], group_text
 walls_build_argv = st.builds(
     lambda t, n: ["walls", "build", f"--type={t}", f"-n{n}"], dynkin_label, integer_text,
 )
+# valid types, ranks and labels most of the time, so that many slices are drawn
+valid_type = st.sampled_from([f"A{r}" for r in range(1, 13)] + [f"D{r}" for r in range(4, 13)]
+                             + ["E6", "E7", "E8", "A119", "D32"])
+chamber_label_text = st.builds(
+    "{}:C:{}".format, st.sampled_from(["X", "C+", "-"]),
+    st.lists(st.integers(1, 12), max_size=3).map(lambda vs: ",".join(map(str, vs))),
+)
+label_text = st.one_of(
+    st.builds("{}:{}:{}".format, st.sampled_from(["X", "C+", "-", ""]),
+              st.sampled_from(["C", "F", "sigma", "sigmaKK", "G"]), vertex_set),
+    st.builds("W:sigmaKK:{}:{}".format, vertex_set, vertex_set),
+    st.text(max_size=4),
+)
+plane_entry = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-2/3"])
 
 
-@settings(max_examples=60, deadline=None)
-@given(argv=st.one_of(craw_wye_argv, orbit_sum_argv, mckay_verify_argv, walls_build_argv))
-def test_flag_only_commands_exit_cleanly(argv):
+@st.composite
+def walls_slice_argv(draw):
+    """A slice of any type up to the caps, mostly with valid flags.
+
+    A drawn plane mostly has one entry per vertex; labels are left out half
+    of the time, when every cell gets its default C_K label.
+    """
+
+    def mostly(valid, other):
+        return draw(other if draw(st.integers(0, 3)) == 0 else valid)
+
+    type_text = mostly(valid_type, dynkin_label)
+    n = mostly(st.integers(1, 4).map(str), integer_text)
+    argv = ["walls", "slice", f"--type={type_text}", f"-n{n}", "--out={out}"]
+    if draw(st.booleans()):
+        count = draw(st.integers(1, 3))
+        argv += [f"--label={mostly(chamber_label_text, label_text)}" for _ in range(count)]
+    if draw(st.integers(0, 3)) == 0:
+        rank = type_text[1:]
+        size = int(rank) + 1 if rank.isdecimal() and len(rank) < 4 else draw(st.integers(1, 4))
+        size += draw(st.sampled_from([0, 0, 0, 1, -1]))
+        entry = plane_entry if draw(st.integers(0, 3)) else coordinate
+        chunks = [f"{key}=" + ",".join(draw(st.lists(entry, min_size=size, max_size=size)))
+                  for key in ("base", "d1", "d2")]
+        if draw(st.booleans()):
+            chunks.append("window=" + ",".join(draw(st.lists(entry, min_size=4, max_size=4))))
+        argv.append("--plane=" + ";".join(chunks))
+    return argv
+
+
+rootsys_show_argv = st.one_of(valid_type, dynkin_label).map(lambda t: ["rootsys", "show", t])
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.one_of(craw_wye_argv, orbit_sum_argv, mckay_verify_argv, walls_build_argv,
+                      walls_slice_argv(), rootsys_show_argv))
+def test_flag_only_commands_exit_cleanly(tmp_path_factory, argv):
+    out_path = tmp_path_factory.mktemp("flags") / "slice.svg"
+    argv = [arg.replace("{out}", str(out_path)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
     with redirect_stdout(out), redirect_stderr(err):
