@@ -46,16 +46,22 @@ _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError, Ze
 MAX_EXPONENT = 4300
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_INTEGER = re.compile(r"[-+]?[0-9]+")
 
 
-def _rational(value) -> Fraction:
+def _rational(value):
     """``Fraction(value)`` for a document entry or flag, with a bounded exponent.
 
-    Raises DocumentError for a decimal exponent of magnitude over
-    MAX_EXPONENT; an exponent of over 4,300 digits raises ValueError, as
-    an integer of that length does, which every caller reports as malformed.
+    A string of ASCII digits with an optional sign is read by ``int``, the
+    same value without the exponent test and ``Fraction``'s parser; every
+    caller coerces the entry, so a plain int serves.  Raises DocumentError
+    for a decimal exponent of magnitude over MAX_EXPONENT; an exponent or
+    integer of over 4,300 digits raises ValueError, which every caller
+    reports as malformed.
     """
     if isinstance(value, str):
+        if _INTEGER.fullmatch(value):
+            return int(value)
         match = _EXPONENT.search(value)
         if match and abs(int(match.group(1))) > MAX_EXPONENT:
             raise DocumentError(

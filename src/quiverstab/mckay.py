@@ -539,29 +539,33 @@ def _isomorphisms(adj_a, adj_b):
     sigma = [0] + [-1] * (n - 1)
     used = [False] * n
     used[0] = True
+    yield from _extend(adj_a, adj_b, order, parent, sigma, used, 1)
 
-    def consistent(u, v, placed):
+
+def _extend(adj_a, adj_b, order, parent, sigma, used, depth):
+    """The bijections of :func:`_isomorphisms` that extend ``sigma`` past ``depth``.
+
+    A module-level generator, so the search holds no reference to itself
+    and is freed by reference counting alone.
+    """
+    n = len(adj_a)
+    if depth == n:
+        yield tuple(sigma)
+        return
+    u = order[depth]
+    p = parent[u]
+    placed = order[:depth]
+    for v in range(1, n):
+        if used[v] or (p is not None and not adj_b[sigma[p]][v]):
+            continue
         if adj_a[u][u] != adj_b[v][v]:
-            return False
-        return all(adj_a[u][w] == adj_b[v][sigma[w]] for w in placed)
-
-    def rec(depth):
-        if depth == n:
-            yield tuple(sigma)
-            return
-        u = order[depth]
-        p = parent[u]
-        for v in range(1, n):
-            if used[v] or (p is not None and not adj_b[sigma[p]][v]):
-                continue
-            if consistent(u, v, order[:depth]):
-                sigma[u] = v
-                used[v] = True
-                yield from rec(depth + 1)
-                used[v] = False
-                sigma[u] = -1
-
-    yield from rec(1)
+            continue
+        if all(adj_a[u][w] == adj_b[v][sigma[w]] for w in placed):
+            sigma[u] = v
+            used[v] = True
+            yield from _extend(adj_a, adj_b, order, parent, sigma, used, depth + 1)
+            used[v] = False
+            sigma[u] = -1
 
 
 def verify_correspondence(data: McKayData, rs: RootSystem) -> CorrespondenceReport:

@@ -8,15 +8,22 @@ per-vertex seed lines; every node is a sum of atoms, so closing the atoms
 under joins with one atom at a time reaches the whole lattice, which keeps
 the search exact and exhaustive at desk scale.  Each node records the set
 of atoms it contains as an int bitset, and containment of nodes is
-containment of their bitsets.  Within one build, each distinct per-vertex
-join is eliminated once and each distinct per-vertex subspace is tested
-against the atom seeds once; both memos are dropped when the build returns.
+containment of their bitsets.  Within one build, each distinct echelon
+basis is interned once as a small int id (with its pivots and length),
+a node is the tuple of its per-vertex ids, each distinct join of two ids
+is eliminated once and each (vertex, id) is tested against the atom seeds
+once; the id table and both memos are dropped when the build returns.
+Every spin of one build reads one arrow table, built once per
+representation.
 
 Stability verdicts and destabilizer witnesses come from walking that
 lattice.  Harder-Narasimhan and Jordan-Hoelder filtrations walk intervals
 [U, W] of the same lattice, which are the submodule lattices of the
-subquotients W/U, so each certificate builds one lattice.  The verdicts
-certify the prime-field reduction only; the report says so explicitly.
+subquotients W/U, so each certificate builds one lattice.  The walks pair
+theta with each node once, as an int over theta's common denominator, and
+compare quotient slopes by cross-multiplying those ints; only the printed
+layers get a Fraction slope.  The verdicts certify the prime-field
+reduction only; the report says so explicitly.
 
 The moduli tangent dimension at an exact rational module is its number of
 arrow entries minus twice the rank of the closed-form relation Jacobian.
@@ -27,7 +34,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property
+from operator import itemgetter, sub
 
 from .errors import (
     IndexMismatch,
@@ -39,8 +47,8 @@ from .errors import (
 from .fieldops import (
     PrimeField,
     Rationals,
+    dot,
     echelon_insert,
-    leading_index,
     mat_vec,
     rank,
     reduce_against,
@@ -57,6 +65,37 @@ def _vertex_order(rep: FramedRep):
     return (INF,) + rep.quiver.rs.vertices
 
 
+def _arrow_table(rep: FramedRep):
+    """Per vertex position, the (head position, matrix) of each arrow out of it.
+
+    Arrows with a zero matrix are left out: they carry no vector anywhere.
+    """
+    order = _vertex_order(rep)
+    at = {v: k for k, v in enumerate(order)}
+    table = [[] for _ in order]
+    for a in rep.quiver.arrows:
+        mat = rep.matrix(a.label)
+        if any(map(any, mat)):
+            table[at[a.tail]].append((at[a.head], mat))
+    return table
+
+
+def _spin(field, table, work):
+    """Reduced echelon (rows, pivots) per vertex position of the span of ``work``.
+
+    ``work`` is a list of (vertex position, reduced vector) pairs; it is
+    consumed.  ``table`` is the :func:`_arrow_table` of the representation.
+    """
+    bases = [([], []) for _ in table]
+    while work:
+        k, vec = work.pop()
+        rows, pivots = bases[k]
+        if echelon_insert(field, rows, pivots, vec):
+            for head, mat in table[k]:
+                work.append((head, mat_vec(field, mat, vec)))
+    return bases
+
+
 def spin(rep: FramedRep, seeds):
     """Smallest arrow-invariant per-vertex subspace family containing seeds.
 
@@ -64,27 +103,15 @@ def spin(rep: FramedRep, seeds):
     result maps each vertex to the reduced echelon basis of its component.
     """
     field = rep.field
-    by_tail = {}
-    for a in rep.quiver.arrows:
-        by_tail.setdefault(a.tail, []).append(a)
-
-    bases = {v: ([], []) for v in _vertex_order(rep)}
+    order = _vertex_order(rep)
+    at = {v: k for k, v in enumerate(order)}
     work = []
     for vertex, vec in seeds:
-        if vertex not in bases or len(vec) != rep.dims.at(vertex):
+        if vertex not in at or len(vec) != rep.dims.at(vertex):
             raise IndexMismatch(f"seed at {vertex!r} has the wrong length")
-        work.append((vertex, tuple(field.coerce(x) for x in vec)))
-
-    while work:
-        vertex, vec = work.pop()
-        rows, pivots = bases[vertex]
-        if not echelon_insert(field, rows, pivots, vec):
-            continue
-        for a in by_tail.get(vertex, ()):
-            if rep.dims.at(a.head) == 0:
-                continue
-            work.append((a.head, mat_vec(field, rep.matrix(a.label), vec)))
-    return {v: tuple(rows) for v, (rows, _) in bases.items()}
+        work.append((at[vertex], tuple(field.coerce(x) for x in vec)))
+    bases = _spin(field, _arrow_table(rep), work)
+    return {v: tuple(rows) for v, (rows, _) in zip(order, bases)}
 
 
 def _signature(rep, family):
@@ -115,6 +142,11 @@ class SubmoduleLattice:
         return len(self.nodes)
 
     @cached_property
+    def totals(self) -> tuple:
+        """Per node, its total dimension."""
+        return tuple([node.dims.total() for node in self.nodes])
+
+    @cached_property
     def relations(self) -> tuple:
         """Pairs (i, j) with node i properly contained in node j."""
         # nodes are sorted by total dimension, so a proper superset comes later
@@ -135,11 +167,13 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
     ``node_cap``, so a returned lattice is always complete; the refusal
     names the atoms, nodes and distinct joins it had reached.
 
-    Joins and atom memberships are memoised for the length of the build:
-    the join of a node with an atom is the node with its subspace at each
-    of the atom's vertices replaced by their sum, eliminated once per
-    distinct pair of subspaces, and a node's bitset is the OR of per-vertex
-    bitsets, computed once per (vertex, subspace).
+    Each distinct echelon basis gets an int id on first sight, shared by
+    all vertices, and a node is keyed by the tuple of its ids.  Joins and
+    atom memberships are memoised on ids for the length of the build: the
+    join of a node with an atom is the node with its subspace at each of
+    the atom's vertices replaced by their sum, eliminated once per distinct
+    pair of ids, and a node's bitset is the OR of per-vertex bitsets,
+    computed once per (vertex, id).
     """
     field = rep.field
     if not isinstance(field, PrimeField):
@@ -154,23 +188,38 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
         )
 
     order = _vertex_order(rep)
+    table = _arrow_table(rep)
+    # Every distinct echelon basis, at any vertex, gets an id on first sight;
+    # a signature is the tuple of the ids of a node's bases in vertex order.
+    ids = {}  # echelon rows -> id
+    basis_rows = []  # per id, the echelon rows
+    basis_pivots = []  # per id, their pivot columns
+    basis_dim = []  # per id, the number of rows
+
+    def intern(rows, pivots):
+        i = ids.get(rows)
+        if i is None:
+            i = ids[rows] = len(basis_rows)
+            basis_rows.append(rows)
+            basis_pivots.append(pivots)
+            basis_dim.append(len(rows))
+        return i
+
     nodes = {}  # signature -> atom bitset, set once atoms are known
     atoms = []  # per atom bit, the signature of the spin of its seed line
     seeds = [[] for _ in order]  # per vertex position, (atom bit, seed) of the atoms seeded there
-    joined = {}  # (subspace, atom rows) at one vertex -> echelon rows of their sum
+    joined = {}  # (subspace id, atom id) at one vertex -> id of their sum
 
     def add(sig):
-        if sig not in nodes:
-            if len(nodes) >= node_cap:
-                raise LatticeTooLarge(
-                    f"lattice exceeds {node_cap} nodes: {len(atoms)} atoms, "
-                    f"{len(nodes)} nodes found, {len(joined)} distinct joins eliminated"
-                )
-            nodes[sig] = None
-            return sig
-        return None
+        """Record a new signature, refusing once the cap is reached."""
+        if len(nodes) >= node_cap:
+            raise LatticeTooLarge(
+                f"lattice exceeds {node_cap} nodes: {len(atoms)} atoms, "
+                f"{len(nodes)} nodes found, {len(joined)} distinct joins eliminated"
+            )
+        nodes[sig] = None
 
-    zero = tuple(() for _ in order)
+    zero = (intern((), ()),) * len(order)
     add(zero)
     for k, vertex in enumerate(order):
         d = rep.dims.at(vertex)
@@ -178,23 +227,25 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
             lead = next((x for x in vec if x != 0), None)
             if lead != 1:  # one seed per line through the origin
                 continue
-            sig = add(_signature(rep, spin(rep, [(vertex, vec)])))
-            if sig is not None:
+            bases = _spin(field, table, [(k, vec)])
+            sig = tuple(intern(tuple(rows), tuple(pivots)) for rows, pivots in bases)
+            if sig not in nodes:
+                add(sig)
                 seeds[k].append((len(atoms), vec))
                 atoms.append(sig)
 
     # A node is arrow-invariant, so it contains an atom exactly when it
     # contains the atom's seed at the atom's vertex: its bitset is the OR over
-    # vertices k of held[k][rows at k], the vertex-k atoms whose seeds lie there.
+    # vertices k of held[k][id at k], the vertex-k atoms whose seeds lie there.
     held = [{} for _ in order]
 
     def mask_of(sig):
         mask = 0
-        for k, rows in enumerate(sig):
-            bits = held[k].get(rows)
+        for k, i in enumerate(sig):
+            bits = held[k].get(i)
             if bits is None:
-                pivots = tuple(leading_index(row) for row in rows)
-                bits = held[k][rows] = sum(
+                rows, pivots = basis_rows[i], basis_pivots[i]
+                bits = held[k][i] = sum(
                     1 << bit for bit, seed in seeds[k]
                     if not any(reduce_against(field, rows, pivots, seed))
                 )
@@ -205,7 +256,7 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
     for sig in atoms:
         nodes[sig] = mask_of(sig)
     # the join with atom a touches only the vertices where a is nonzero
-    supports = [[(k, rows) for k, rows in enumerate(sig) if rows] for sig in atoms]
+    supports = [[(k, i) for k, i in enumerate(sig) if basis_dim[i]] for sig in atoms]
 
     fresh = list(atoms)
     while fresh:
@@ -216,24 +267,32 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
                 if mask_a >> bit & 1:
                     continue
                 sig = list(sig_a)
-                for k, rows in support:
-                    key = (sig_a[k], rows)
-                    if key not in joined:
-                        joined[key] = rref(field, sig_a[k] + rows)[0]
-                    sig[k] = joined[key]
-                sig = add(tuple(sig))
-                if sig is not None:
+                for k, i in support:
+                    key = (sig_a[k], i)
+                    j = joined.get(key)
+                    if j is None:
+                        j = joined[key] = intern(*rref(field, basis_rows[key[0]] + basis_rows[i]))
+                    sig[k] = j
+                sig = tuple(sig)
+                if sig not in nodes:
+                    add(sig)
                     nodes[sig] = mask_of(sig)
                     fresh.append(sig)
 
-    entries = sorted(
-        ((SubmoduleNode(bases=sig, dims=_sig_dims(sig)), mask) for sig, mask in nodes.items()),
-        key=lambda entry: (entry[0].dims.total(), entry[0].dims.key(), entry[0].bases),
-    )
+    dim_vectors = {}  # dimension key -> its one DimVector
+    entries = []
+    for sig, mask in nodes.items():
+        key = tuple([basis_dim[i] for i in sig])
+        dims = dim_vectors.get(key)
+        if dims is None:
+            dims = dim_vectors[key] = DimVector(key[0], key[1:])
+        bases = tuple([basis_rows[i] for i in sig])
+        entries.append(((sum(key), key, bases), SubmoduleNode(bases=bases, dims=dims), mask))
+    entries.sort(key=itemgetter(0))
     return SubmoduleLattice(
         rep=rep,
-        nodes=tuple(node for node, _ in entries),
-        masks=tuple(mask for _, mask in entries),
+        nodes=tuple(node for _, node, _ in entries),
+        masks=tuple(mask for _, _, mask in entries),
     )
 
 
@@ -259,12 +318,12 @@ def stability_report(rep: FramedRep, theta: StabilityVector) -> StabilityReport:
         f"verdict certifies the {rep.field.name}-reduction; "
         "characteristic-zero stability of a lift is not implied"
     )
-    value = cache(partial(pair_dim, theta))  # many nodes share a dimension vector
-    for node in lattice.nodes:
-        if value(node.dims) < 0:
+    pairings = _pairings(lattice, theta)
+    for node, value in zip(lattice.nodes, pairings):
+        if value < 0:
             return StabilityReport(False, False, node, caveat)
-    for node in lattice.nodes:
-        if 0 < node.dims.total() < whole and value(node.dims) == 0:
+    for node, value, total in zip(lattice.nodes, pairings, lattice.totals):
+        if value == 0 and 0 < total < whole:
             return StabilityReport(True, False, node, caveat)
     return StabilityReport(True, True, None, caveat)
 
@@ -305,8 +364,17 @@ def _slope(theta: StabilityVector, dims: DimVector) -> Fraction:
     return Fraction(-pair_dim(theta, dims)) / dims.total()
 
 
-def _quotient_dims(big: SubmoduleNode, small: SubmoduleNode) -> DimVector:
-    return DimVector(big.dims.r - small.dims.r, tuple(b - s for b, s in zip(big.dims.v, small.dims.v)))
+def _pairings(lattice: SubmoduleLattice, theta: StabilityVector) -> tuple:
+    """Per node, its pairing with theta times ``theta.den``, as an int.
+
+    Same value as :func:`pair_dim` times the positive ``theta.den``, so
+    signs and ratios of pairings are those of the exact rationals.
+    """
+    if len(lattice.rep.dims.v) != len(theta.entries):
+        raise IndexMismatch("dimension vector does not match the vertex set")
+    nums = theta.nums
+    framing = dot(theta.context, nums)
+    return tuple([dot(node.dims.v, nums) - node.dims.r * framing for node in lattice.nodes])
 
 
 def _interval(lattice: SubmoduleLattice, lo: int, hi: int):
@@ -318,40 +386,47 @@ def _interval(lattice: SubmoduleLattice, lo: int, hi: int):
     ]
 
 
-def _max_destabilizer(lattice: SubmoduleLattice, slope, base: int = 0) -> int:
+def _max_destabilizer(lattice: SubmoduleLattice, pairings, base: int = 0) -> int:
     """Index of the maximal destabilizing W above node ``base``, scored on W/base.
 
-    ``slope`` maps a dimension vector to its slope.  The submodule of
-    maximal slope and, among those, maximal dimension is unique, so the
-    last key entry only orders nodes that cannot tie.
+    ``pairings`` are the node pairings of :func:`_pairings`.  The slope of
+    W/base is (p_base - p_W) / (t_W - t_base) over ``theta.den``, with t the
+    total dimension, so slopes compare by cross-multiplying ints.  The
+    submodule of maximal slope and, among those, maximal dimension is
+    unique; nodes come in (total, dimension vector) order, so on a full tie
+    the first node, of the smaller dimension vector, stays.
     """
-    nodes = lattice.nodes
+    totals = lattice.totals
+    p_base, t_base = pairings[base], totals[base]
     best = None
-    best_key = None
-    for j in _interval(lattice, base, len(nodes) - 1):
-        dims = _quotient_dims(nodes[j], nodes[base])
-        key = (slope(dims), dims.total(), tuple(-x for x in dims.key()))
-        if best_key is None or key > best_key:
-            best, best_key = j, key
+    for j in _interval(lattice, base, len(totals) - 1):
+        num, den = p_base - pairings[j], totals[j] - t_base
+        if best is None:
+            best, best_num, best_den = j, num, den
+            continue
+        ahead = num * best_den - best_num * den
+        if ahead > 0 or (ahead == 0 and den > best_den):
+            best, best_num, best_den = j, num, den
     return best
 
 
-def _jordan_holder(lattice: SubmoduleLattice, slope, lo: int, hi: int, layer_slope):
-    """Sorted dimension vectors of the stable factors of the semistable hi/lo.
+def _jordan_holder(lattice: SubmoduleLattice, pairings, lo: int, hi: int, num: int, den: int):
+    """Sorted dimension keys of the stable factors of the semistable hi/lo.
 
-    Each step takes the smallest node over the current base whose quotient
-    has the layer's slope; that quotient is stable, and the multiset of
-    stable factors does not depend on the choice (Jordan-Hoelder).
+    The layer's slope is num / den over ``theta.den``.  Each step takes the
+    smallest node over the current base whose quotient has that slope; that
+    quotient is stable, and the multiset of stable factors does not depend
+    on the choice (Jordan-Hoelder).
     """
-    nodes = lattice.nodes
+    nodes, totals = lattice.nodes, lattice.totals
     out = []
     while lo != hi:
         # nodes are in (total, dims) order, so the first match is minimal
         lo_next = next(
             j for j in _interval(lattice, lo, hi)
-            if slope(_quotient_dims(nodes[j], nodes[lo])) == layer_slope
+            if (pairings[lo] - pairings[j]) * den == num * (totals[j] - totals[lo])
         )
-        out.append(_quotient_dims(nodes[lo_next], nodes[lo]).key())
+        out.append(tuple(map(sub, nodes[lo_next].dims.key(), nodes[lo].dims.key())))
         lo = lo_next
     return tuple(sorted(out))
 
@@ -364,25 +439,26 @@ def hn_filtration(rep: FramedRep, theta: StabilityVector) -> HNFiltration:
     largest total dimension among ties, so slopes come out strictly
     decreasing and a stable module is a single layer.  Layers carry the
     dimension multiset of their stable factors.  All steps walk intervals
-    of one submodule lattice.
+    of one submodule lattice, on the integer node pairings of
+    :func:`_pairings`; only the layers get a ``Fraction`` slope.
     """
     if rep.dims.total() == 0:
         return HNFiltration(layers=())
     lattice = submodule_lattice(rep)
-    slope_of = cache(partial(_slope, theta))  # quotients of many nodes share dims
-    nodes = lattice.nodes
+    pairings = _pairings(lattice, theta)
+    nodes, totals = lattice.nodes, lattice.totals
     top = len(nodes) - 1  # the whole module: the only node of full dimension
     layers = []
     base = 0  # the zero submodule
     while base != top:
-        step = _max_destabilizer(lattice, slope_of, base)
-        dims = _quotient_dims(nodes[step], nodes[base])
-        slope = slope_of(dims)
+        step = _max_destabilizer(lattice, pairings, base)
+        num, den = pairings[base] - pairings[step], totals[step] - totals[base]
+        low, high = nodes[base].dims, nodes[step].dims
         layers.append(
             HNLayer(
-                dims=dims,
-                slope=slope,
-                jh_dims=_jordan_holder(lattice, slope_of, base, step, slope),
+                dims=DimVector(high.r - low.r, tuple(map(sub, high.v, low.v))),
+                slope=Fraction(num, den * theta.den),
+                jh_dims=_jordan_holder(lattice, pairings, base, step, num, den),
             )
         )
         base = step

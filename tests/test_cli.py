@@ -359,6 +359,37 @@ def test_rational_literals_up_to_the_exponent_cap_parse():
     assert theta_from_doc(doc).entries == (Fraction(5, 2), Fraction(10**4300))
 
 
+@pytest.mark.parametrize("text", [
+    "7", "-0", "+3", " 7", "\u0663", "\u00b2", "1_0", "1e3", "3/6", "9" * 5000, "-" + "1" * 5000,
+])
+def test_integer_entries_read_as_fraction_reads_them(text):
+    # plain ASCII integers skip Fraction's parser; the value, or the kind of
+    # refusal, is the one Fraction(text) gives
+    from quiverstab.cli import _rational
+
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _rational(text)
+    else:
+        assert _rational(text) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_integer_document_entries_coerce_to_the_same_types(rs_a2, field):
+    rep = framed_orbit_sum(rs_a2, [(1, 0), (0, 1)], field)
+    doc = rep_to_doc(rep, n=2)
+    assert any(x.lstrip("-").isdigit() for mat in doc["matrices"].values()
+               for row in mat for x in row)
+    again = rep_from_doc(doc)
+    for label, mat in rep.matrices.items():
+        assert again.matrix(label) == mat
+        assert [type(x) for row in again.matrix(label) for x in row] == [
+            type(x) for row in mat for x in row
+        ]
+
+
 @pytest.mark.parametrize("type_label, cells", [("A11", 23), ("A12", 23), ("D12", 47), ("E8", 96)])
 def test_default_labels_are_found_per_cell(capsys, tmp_path, type_label, cells):
     # trying all 2^rank chambers at every cell took 10 s for A11 and 1 s for E8

@@ -1,10 +1,11 @@
 """Group enumeration, character tables, and the McKay graph checks."""
 
+import gc
 import random
 
 import pytest
 
-from quiverstab import DynkinType, build_root_system
+from quiverstab import DynkinType, build_root_system, mckay
 from quiverstab.errors import GroupTooLarge, InvalidRank, NoIsomorphism
 from quiverstab.mckay import (
     MAX_GROUP_ORDER,
@@ -173,3 +174,27 @@ def test_projective_mckay_r_is_trivalent():
         _, r = projective_mckay(rs.dynkin)
         degree = sum(1 for j in range(1, rank + 1) if rs.finite_cartan[r - 1][j - 1] == -1)
         assert degree == 3
+
+
+def _from_mckay(obj):
+    code = next(
+        (getattr(obj, attr) for attr in ("__code__", "gi_code", "f_code") if hasattr(obj, attr)),
+        None,
+    )
+    return code is not None and code.co_filename == mckay.__file__
+
+
+def test_verify_leaves_no_cyclic_garbage(mckay_cache):
+    # the isomorphism search must free itself by reference counting alone
+    data = mckay_cache[GroupSpec("binary_icosahedral")]
+    rs = build_root_system(DynkinType("E", 8))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert verify_correspondence(data, rs).adjacency_ok
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if _from_mckay(obj)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []

@@ -1,7 +1,6 @@
 """Submodule lattices, stability verdicts, HN filtrations, tangent spaces."""
 
 import itertools
-from functools import partial
 
 import pytest
 
@@ -362,12 +361,12 @@ def test_hn_contracts_on_corpus():
 
 def test_hn_first_layer_is_slope_semistable_in_isolation():
     # the maximal destabilizer has no submodule of strictly larger slope
-    from quiverstab.stabcheck import _max_destabilizer, _slope
+    from quiverstab.stabcheck import _max_destabilizer, _pairings, _slope
 
     for label, type_label, n, rep in build_corpus(8):
         theta = craw_wye_theta(rep.quiver.rs, {0}, n)
         lattice = submodule_lattice(rep)
-        node = lattice.nodes[_max_destabilizer(lattice, partial(_slope, theta))]
+        node = lattice.nodes[_max_destabilizer(lattice, _pairings(lattice, theta))]
         sub = _subrep(rep, node)
         layer_slope = _slope(theta, node.dims)
         for inner in submodule_lattice(sub).nodes:
