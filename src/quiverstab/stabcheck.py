@@ -271,7 +271,7 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
                     key = (sig_a[k], i)
                     j = joined.get(key)
                     if j is None:
-                        j = joined[key] = intern(*rref(field, basis_rows[key[0]] + basis_rows[i]))
+                        j = joined[key] = intern(*rref(field, basis_rows[sig_a[k]] + basis_rows[i]))
                     sig[k] = j
                 sig = tuple(sig)
                 if sig not in nodes:
