@@ -398,12 +398,10 @@ def _max_destabilizer(lattice: SubmoduleLattice, pairings, base: int = 0) -> int
     """
     totals = lattice.totals
     p_base, t_base = pairings[base], totals[base]
-    best = None
+    # every quotient has a positive total, so the first one beats 0/0
+    best, best_num, best_den = None, 0, 0
     for j in _interval(lattice, base, len(totals) - 1):
         num, den = p_base - pairings[j], totals[j] - t_base
-        if best is None:
-            best, best_num, best_den = j, num, den
-            continue
         ahead = num * best_den - best_num * den
         if ahead > 0 or (ahead == 0 and den > best_den):
             best, best_num, best_den = j, num, den
