@@ -13,8 +13,13 @@ basis is interned once as a small int id (with its pivots and length),
 a node is the tuple of its per-vertex ids, each distinct join of two ids
 is eliminated once and each (vertex, id) is tested against the atom seeds
 once; the id table and both memos are dropped when the build returns.
-Every spin of one build reads one arrow table, built once per
-representation.
+
+The atoms come from one pass over the line graph, not one spin per seed
+line: each seed line points at the lines of its nonzero arrow images, and
+the spin of a line is the span of the lines it reaches, so all lines of
+one strongly connected component share one span, built once from the
+spans of the components below it (Tarjan's walk finishes those first).
+:func:`spin` spins arbitrary seeds by the plain work-list closure.
 
 Stability verdicts and destabilizer witnesses come from walking that
 lattice.  Harder-Narasimhan and Jordan-Hoelder filtrations walk intervals
@@ -80,20 +85,104 @@ def _arrow_table(rep: FramedRep):
     return table
 
 
-def _spin(field, table, work):
-    """Reduced echelon (rows, pivots) per vertex position of the span of ``work``.
+def _line_spans(field, dims, table):
+    """The seed lines in order, and per line the index of its span.
 
-    ``work`` is a list of (vertex position, reduced vector) pairs; it is
-    consumed.  ``table`` is the :func:`_arrow_table` of the representation.
+    ``dims`` are the dimensions per vertex position and ``table`` the
+    :func:`_arrow_table` of the representation.  Returns ``lines``, a list of
+    (vertex position, lead-one vector); ``span_of``, per line the index of
+    its span in ``spans``; and ``spans``, per index the reduced echelon
+    (rows, pivots) per vertex position.
+
+    Each line points at the lines of its nonzero arrow images.  Since
+    pi (c v) = c (pi v), the spin of a line is the span of the lines it
+    reaches, which is the same for every line of one strongly connected
+    component.  An iterative Tarjan walk finishes each component after
+    every component it reaches, so the component's span is the echelon
+    join of the spans below it plus its own lines.
     """
-    bases = [([], []) for _ in table]
-    while work:
-        k, vec = work.pop()
-        rows, pivots = bases[k]
-        if echelon_insert(field, rows, pivots, vec):
-            for head, mat in table[k]:
-                work.append((head, mat_vec(field, mat, vec)))
-    return bases
+    lines = []
+    index_at = []  # per vertex position, lead-one vector -> line index
+    for k, d in enumerate(dims):
+        at = {}
+        # itertools.product order: the lead one from the last position to the first
+        for lead in reversed(range(d)):
+            for rest in itertools.product(range(field.p), repeat=d - 1 - lead):
+                vec = (0,) * lead + (1,) + rest
+                at[vec] = len(lines)
+                lines.append((k, vec))
+        index_at.append(at)
+    succ = []
+    for k, vec in lines:
+        out = []
+        for head, mat in table[k]:
+            image = mat_vec(field, mat, vec)
+            lead = next((x for x in image if x), 0)
+            if lead:
+                if lead != 1:
+                    inv = field.inv(lead)
+                    image = field.reduce([inv * x for x in image])
+                out.append(index_at[head][image])
+        succ.append(out)
+
+    spans = []
+    span_of = [None] * len(lines)  # set when the line's component is finished
+
+    def finish(members):
+        below = {span_of[w] for u in members for w in succ[u]}
+        below.discard(None)  # edges inside the component
+        bases = None
+        for i in below:
+            if bases is None:
+                bases = [(list(rows), list(pivots)) for rows, pivots in spans[i]]
+                continue
+            for (rows, pivots), (more, _) in zip(bases, spans[i]):
+                for row in more:
+                    echelon_insert(field, rows, pivots, row)
+        if bases is None:
+            bases = [([], []) for _ in table]
+        for u in members:
+            k, vec = lines[u]
+            rows, pivots = bases[k]
+            if rows:
+                echelon_insert(field, rows, pivots, vec)
+            else:  # a lead-one vector is its own echelon basis
+                rows.append(vec)
+                pivots.append(vec.index(1))
+            span_of[u] = len(spans)
+        spans.append(bases)
+
+    order = [None] * len(lines)  # visit number
+    low = [0] * len(lines)
+    stack = []
+    seen = 0
+    for root in range(len(lines)):
+        if order[root] is not None:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        walk = [(root, iter(succ[root]))]
+        while walk:
+            u, edges = walk[-1]
+            for w in edges:
+                if order[w] is None:
+                    order[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    walk.append((w, iter(succ[w])))
+                    break
+                if span_of[w] is None and order[w] < low[u]:  # w is on the stack
+                    low[u] = order[w]
+            else:
+                walk.pop()
+                if walk and low[u] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[u]
+                if low[u] == order[u]:
+                    at = stack.index(u)
+                    finish(stack[at:])
+                    del stack[at:]
+    return lines, span_of, spans
 
 
 def spin(rep: FramedRep, seeds):
@@ -110,7 +199,14 @@ def spin(rep: FramedRep, seeds):
         if vertex not in at or len(vec) != rep.dims.at(vertex):
             raise IndexMismatch(f"seed at {vertex!r} has the wrong length")
         work.append((at[vertex], tuple(field.coerce(x) for x in vec)))
-    bases = _spin(field, _arrow_table(rep), work)
+    table = _arrow_table(rep)
+    bases = [([], []) for _ in order]
+    while work:
+        k, vec = work.pop()
+        rows, pivots = bases[k]
+        if echelon_insert(field, rows, pivots, vec):
+            for head, mat in table[k]:
+                work.append((head, mat_vec(field, mat, vec)))
     return {v: tuple(rows) for v, (rows, _) in zip(order, bases)}
 
 
@@ -167,8 +263,12 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
     ``node_cap``, so a returned lattice is always complete; the refusal
     names the atoms, nodes and distinct joins it had reached.
 
-    Each distinct echelon basis gets an int id on first sight, shared by
-    all vertices, and a node is keyed by the tuple of its ids.  Joins and
+    The atoms are the distinct spans of the seed lines, numbered in line
+    order (vertices in (inf, 0, 1, ...) order, lines in ``itertools.product``
+    order of their lead-one vectors); :func:`_line_spans` gives every
+    line's span from one walk over the line graph.  Each distinct echelon
+    basis gets an int id on first sight, shared by all vertices, and a node
+    is keyed by the tuple of its ids.  Joins and
     atom memberships are memoised on ids for the length of the build: the
     join of a node with an atom is the node with its subspace at each of
     the atom's vertices replaced by their sum, eliminated once per distinct
@@ -188,7 +288,6 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
         )
 
     order = _vertex_order(rep)
-    table = _arrow_table(rep)
     # Every distinct echelon basis, at any vertex, gets an id on first sight;
     # a signature is the tuple of the ids of a node's bases in vertex order.
     ids = {}  # echelon rows -> id
@@ -221,18 +320,15 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
 
     zero = (intern((), ()),) * len(order)
     add(zero)
-    for k, vertex in enumerate(order):
-        d = rep.dims.at(vertex)
-        for vec in itertools.product(range(field.p), repeat=d):
-            lead = next((x for x in vec if x != 0), None)
-            if lead != 1:  # one seed per line through the origin
-                continue
-            bases = _spin(field, table, [(k, vec)])
-            sig = tuple(intern(tuple(rows), tuple(pivots)) for rows, pivots in bases)
-            if sig not in nodes:
-                add(sig)
-                seeds[k].append((len(atoms), vec))
-                atoms.append(sig)
+    lines, span_of, spans = _line_spans(field, rep.dims.key(), _arrow_table(rep))
+    sigs = [tuple([intern(tuple(rows), tuple(pivots)) for rows, pivots in bases])
+            for bases in spans]
+    for (k, vec), i in zip(lines, span_of):
+        sig = sigs[i]
+        if sig not in nodes:
+            add(sig)
+            seeds[k].append((len(atoms), vec))
+            atoms.append(sig)
 
     # A node is arrow-invariant, so it contains an atom exactly when it
     # contains the atom's seed at the atom's vertex: its bitset is the OR over

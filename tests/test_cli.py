@@ -459,20 +459,34 @@ def mutated(draw, docs):
     return doc
 
 
-@settings(max_examples=40, deadline=None)
+# K and Kp lists for `cone check`: valid for A1 and A2, out of range, or malformed
+cone_vertices = st.one_of(
+    st.sampled_from(["", "1", "2", "1,2", "2,1"]),
+    st.sampled_from(["0", "3", "-1", "1,1", "12", "99999999999999999999"]),
+    st.sampled_from(["x", "1,,2", "1;2", ",", " 1 ", "1.5", "1/2"]),
+)
+cone_flags = st.builds(
+    lambda cone, K, Kp, closed: ["--cone", cone, f"--K={K}", f"--Kp={Kp}"]
+    + (["--closed"] if closed else []),
+    st.sampled_from(["F", "C", "sigma", "sigmaKK"]), cone_vertices, cone_vertices, st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     command=st.sampled_from(["rep check", "stab report", "stab hn", "stab tangent", "cone check"]),
     rep=mutated(REPS),
     theta=mutated(THETAS),
+    flags=cone_flags,
 )
-def test_mutated_documents_exit_cleanly(tmp_path_factory, command, rep, theta):
+def test_mutated_documents_exit_cleanly(tmp_path_factory, command, rep, theta, flags):
     tmp = tmp_path_factory.mktemp("docs")
     rep_file, theta_file = tmp / "rep.json", tmp / "theta.json"
     rep_file.write_text(json.dumps(rep))
     theta_file.write_text(json.dumps(theta))
     argv = command.split()
     if command == "cone check":
-        argv += ["--theta", str(theta_file), "--cone", "F"]
+        argv += ["--theta", str(theta_file)] + flags
     else:
         argv += ["--rep", str(rep_file)]
         if command in ("stab report", "stab hn"):

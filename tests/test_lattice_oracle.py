@@ -3,13 +3,18 @@
 ``reference_lattice`` keeps the earlier closure under pairwise sums, the
 pairwise containment test, and HN/JH by rebuilt sub- and quotient
 lattices.  Both must agree on node order, containment, report verdicts
-with witnesses, and full HN filtrations at every chamber theta_J.
+with witnesses, and full HN filtrations at every chamber theta_J.  The
+inputs are the corpus, zero-arrow modules, and Hypothesis-drawn
+representations with dense or sparse random arrow matrices (not
+necessarily modules), whose line graphs have components of several lines
+and chains of components.
 """
 
 import itertools
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import build_corpus
 from reference_lattice import reference_hn, reference_lattice, reference_report
@@ -56,8 +61,41 @@ CASES = [(label, rep, n) for label, _, n, rep in build_corpus(12)] + [
 ]
 
 
-@pytest.mark.parametrize("label, rep, n", CASES, ids=[case[0] for case in CASES])
-def test_engines_agree(label, rep, n):
+# total dimension caps for drawn representations, so the pairwise reference stays quick
+DRAWN_TOTAL = {2: 6, 3: 5, 5: 4}
+
+
+@st.composite
+def representations(draw):
+    """A representation of A1 or A2 over F2, F3 or F5 with random arrow matrices.
+
+    Dimensions are 1 or 2 per vertex while the total stays under its cap
+    for p.  Each arrow is zero, sparse (one
+    nonzero entry in three, on average) or dense.
+    """
+    rs = build_root_system(DynkinType.parse(draw(st.sampled_from(["A1", "A2"]))))
+    p = draw(st.sampled_from(sorted(DRAWN_TOTAL)))
+    r = draw(st.integers(0, 1))
+    v = []
+    for _ in rs.vertices:
+        room = min(2, DRAWN_TOTAL[p] - r - sum(v))
+        v.append(draw(st.integers(min(1, room), room)))
+    dims = DimVector(r, tuple(v))
+    quiver = framed_quiver(rs)
+    entry = {
+        "zero": st.just(0),
+        "sparse": st.sampled_from([0, 0] + list(range(1, p))),
+        "dense": st.integers(0, p - 1),
+    }
+    matrices = {}
+    for a in quiver.arrows:
+        kind = entry[draw(st.sampled_from(sorted(entry)))]
+        matrices[a.label] = [[draw(kind) for _ in range(dims.at(a.tail))]
+                             for _ in range(dims.at(a.head))]
+    return FramedRep(quiver, PrimeField(p), dims, matrices)
+
+
+def _engines_agree(rep, n):
     lattice = submodule_lattice(rep)
     nodes, relations = reference_lattice(rep)
     assert [(node.bases, node.dims) for node in lattice.nodes] == [
@@ -70,6 +108,17 @@ def test_engines_agree(label, rep, n):
         assert (report.semistable, report.stable) == (semistable, stable)
         assert (report.witness and report.witness.bases) == (witness and witness.bases)
         assert hn_filtration(rep, theta) == reference_hn(rep, theta)
+
+
+@pytest.mark.parametrize("label, rep, n", CASES, ids=[case[0] for case in CASES])
+def test_engines_agree(label, rep, n):
+    _engines_agree(rep, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=representations())
+def test_engines_agree_on_drawn_representations(rep):
+    _engines_agree(rep, 1)
 
 
 # -- a lattice near the node cap -----------------------------------------------------
@@ -118,8 +167,9 @@ def test_default_cap_refusal_is_cheap():
         submodule_lattice(rep)
     assert time.monotonic() - start < 2.0
     message = str(info.value)
-    assert message.startswith("lattice exceeds 4096 nodes: 31 atoms, 4096 nodes found, ")
-    assert message.endswith(" distinct joins eliminated")
+    assert message == (
+        "lattice exceeds 4096 nodes: 31 atoms, 4096 nodes found, 766 distinct joins eliminated"
+    )
 
 
 # -- atom bitsets against ranks alone --------------------------------------------------
@@ -144,8 +194,7 @@ MASK_CASES = [(label, rep) for label, _, _, rep in build_corpus(12)] + [
 ]
 
 
-@pytest.mark.parametrize("label, rep", MASK_CASES, ids=[case[0] for case in MASK_CASES])
-def test_masks_match_rank_containment(label, rep):
+def _masks_match_rank_containment(rep):
     # atom a lies in node x exactly when adding a's rows to x's basis at every
     # vertex leaves the rank there unchanged
     lattice = submodule_lattice(rep)
@@ -159,3 +208,14 @@ def test_masks_match_rank_containment(label, rep):
                 for rows, extra in zip(node.bases, atom)
             )
             assert contained == bool(mask >> bit & 1)
+
+
+@pytest.mark.parametrize("label, rep", MASK_CASES, ids=[case[0] for case in MASK_CASES])
+def test_masks_match_rank_containment(label, rep):
+    _masks_match_rank_containment(rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=representations())
+def test_masks_match_rank_containment_on_drawn_representations(rep):
+    _masks_match_rank_containment(rep)
