@@ -70,8 +70,8 @@ def representations(draw):
     """A representation of A1 or A2 over F2, F3 or F5 with random arrow matrices.
 
     Dimensions are 1 or 2 per vertex while the total stays under its cap
-    for p.  Each arrow is zero, sparse (one
-    nonzero entry in three, on average) or dense.
+    for p.  Each arrow is zero, sparse (each entry drawn from 0, 0, 1, ...,
+    p - 1) or dense.
     """
     rs = build_root_system(DynkinType.parse(draw(st.sampled_from(["A1", "A2"]))))
     p = draw(st.sampled_from(sorted(DRAWN_TOTAL)))
