@@ -201,6 +201,94 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 2
 
 
+# per command, one argv that parses; the flags come last so dropping the
+# final pair leaves a required one out
+LEAF_ARGV = {
+    ("rootsys", "show"): ["A1"],
+    ("mckay", "verify"): ["cyclic:2", "A1"],
+    ("theta", "craw-wye"): ["--type", "A1", "-n", "1", "--J", "0"],
+    ("cone", "check"): ["--theta", "t.json", "--cone", "C"],
+    ("walls", "build"): ["--type", "A1", "-n", "1"],
+    ("walls", "slice"): ["--type", "A1", "-n", "1", "--out", "x.svg"],
+    ("rep", "check"): ["--rep", "r.json"],
+    ("rep", "orbit-sum"): ["--type", "A1", "--points", "1,0"],
+    ("stab", "report"): ["--rep", "r.json", "--theta", "t.json"],
+    ("stab", "hn"): ["--rep", "r.json", "--theta", "t.json"],
+    ("stab", "tangent"): ["--rep", "r.json"],
+}
+
+
+def _abbreviated(args):
+    """``args`` with its first long flag cut to three characters, or ``--he``."""
+    at = next((k for k, x in enumerate(args) if x.startswith("--")), None)
+    if at is None:
+        return args + ["--he"]
+    return args[:at] + [args[at][:3]] + args[at + 1:]
+
+
+def _missing(args):
+    """``args`` with the last flag and its value, or the last positional, left out."""
+    if any(x.startswith("-") for x in args):
+        return args[:-2]
+    return args[:-1]
+
+
+def _usage_grid():
+    """Root, group and command argvs, each with every usage or help variant."""
+    groups = sorted({group for group, _ in LEAF_ARGV})
+    prefixes = [([], [])] + [([g], []) for g in groups]
+    prefixes += [(list(leaf), args) for leaf, args in LEAF_ARGV.items()]
+    for prefix, args in prefixes:
+        variants = [
+            [],
+            ["-h"],
+            ["--help"],
+            _missing(args),
+            args + ["--bogus", "1"],
+            _abbreviated(args),
+            args + ["extra"],
+            args + ["--cone", "bogus"],
+            ["--"] + args,
+            args + ["--"],
+            args,
+        ]
+        for variant in variants:
+            yield prefix + variant
+
+
+def _parse_then_run(argv) -> int:
+    """``main`` as three nested parses of the whole parser, then the command."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except quiverstab.errors.DomainError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _outcome(capsys, entry, argv):
+    try:
+        code = entry(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_usage_and_help_match_the_whole_parser(capsys, tmp_path, monkeypatch):
+    """Every usage error and help text is the one the whole parser gives.
+
+    Comparing the two paths, rather than storing the texts, keeps the test
+    independent of the Python version's argparse wording.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    grid = list(_usage_grid())
+    assert len(grid) == 11 * (1 + 7 + 11)
+    for argv in grid:
+        assert _outcome(capsys, main, argv) == _outcome(capsys, _parse_then_run, argv), argv
+
+
 def test_rep_document_round_trip(rs_a2):
     rep = framed_orbit_sum(rs_a2, [(1, 0), (0, 1)], QQ)
     doc = rep_to_doc(rep, n=2)
