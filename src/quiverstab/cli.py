@@ -395,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``main`` call.
 
     Parsing does not change the parser (each call fills a fresh namespace),
-    so one instance serves all calls in a process.
+    so one instance serves all calls in a process.  Its ``leaves`` map each
+    (group, command) pair to that command's own parser, whose prog is
+    ``quiverstab <group> <command>``.
     """
     parser = argparse.ArgumentParser(
         prog="quiverstab",
@@ -485,12 +487,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True)
     p.set_defaults(func=_cmd_stab_tangent)
 
+    parser.leaves = {
+        (group, name): leaf
+        for group, commands in [
+            ("rootsys", root_sub), ("mckay", mckay_sub), ("theta", theta_sub),
+            ("cone", cone_sub), ("walls", walls_sub), ("rep", rep_sub), ("stab", stab_sub),
+        ]
+        for name, leaf in commands.choices.items()
+    }
     return parser
 
 
+def _parse(parser, argv):
+    """The namespace of ``argv``, parsed by its command's own parser when it names one.
+
+    A command's parser is the one the whole parser would hand the rest of
+    ``argv`` to, so parsing there gives the same namespace, usage errors and
+    help, without the two enclosing parses.  Arguments it leaves over are
+    refused by the whole parser, in its words.  Anything else (no command,
+    an unknown one, or an option before it) goes to the whole parser.
+    """
+    leaf = parser.leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        return parser.parse_args(argv)
+    args, extras = leaf.parse_known_args(argv[2:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except DomainError as exc:

@@ -8,9 +8,15 @@ hundred), so clarity beats asymptotics throughout.
 
 A field is a row normaliser, not a scalar calculator: every kernel
 computes with Python operators and hands each row once to
-``field.reduce``, the identity over Q and ``% p`` over F_p.  Elements are
-kept reduced, so a zero entry is a falsy one; ``rref`` reduces its input
-rows first and accepts any ints.
+``field.reduce``, which makes every entry a Fraction over Q and reduces
+it ``% p`` over F_p.  Elements are kept reduced, so a zero entry is a
+falsy one; ``rref`` reduces its input rows first and accepts any ints.
+
+Elimination inserts one row at a time into a reduced echelon basis
+(``echelon_insert``), scaling a row only when its lead is not already
+one, which over F_2 it always is.  ``rref`` can extend a basis that is
+already reduced (its ``onto``), so a join of two subspaces eliminates
+only the rows of the second.
 
 ``dot`` is the one pairing, of vectors and of matrix rows and columns
 alike, and ``signs`` the one sign kernel; on integer vectors both stay in
@@ -27,7 +33,7 @@ from .errors import NonIntegralEntry, UnsupportedField
 
 
 class Rationals:
-    """The field of rational numbers; elements are Fractions, rows need no reduction."""
+    """The field of rational numbers; elements are Fractions, and reducing a row makes them so."""
 
     name = "Q"
 
@@ -43,7 +49,7 @@ class Rationals:
         return 1 / Fraction(a)
 
     def reduce(self, values):
-        return tuple(values)
+        return tuple([x if type(x) is Fraction else Fraction(x) for x in values])
 
     def __repr__(self):
         return "Rationals()"
@@ -85,6 +91,8 @@ class PrimeField:
         self.one = 1 % p
 
     def coerce(self, x):
+        if type(x) is int:  # most entries; skips the ABC check below
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise NonIntegralEntry(
@@ -161,7 +169,8 @@ def identity(field, n: int):
 
 
 def mat_coerce(field, rows):
-    return tuple(tuple(field.coerce(x) for x in row) for row in rows)
+    coerce = field.coerce
+    return tuple([tuple([coerce(x) for x in row]) for row in rows])
 
 
 def mat_mul(field, a, b):
@@ -204,14 +213,18 @@ def echelon_insert(field, basis, pivots, vec):
     """Insert a reduced ``vec`` into a reduced echelon basis.  Returns True if rank grew.
 
     ``basis`` and ``pivots`` are parallel lists kept sorted by pivot column;
-    rows are normalized to leading coefficient one and fully reduced.
+    rows are normalized to leading coefficient one and fully reduced.  A row
+    whose lead is already one, such as every row over F_2, is kept as it is;
+    any other row has its nonzero entries scaled.
     """
     v = reduce_against(field, basis, pivots, vec)
     piv = leading_index(v)
     if piv is None:
         return False
-    inv = field.inv(v[piv])
-    v = field.reduce([inv * x for x in v])
+    lead = v[piv]
+    if lead != 1:
+        inv = field.inv(lead)
+        v = field.reduce([inv * x if x else x for x in v])
     # clear the new pivot column in the existing rows
     for k, row in enumerate(basis):
         c = row[piv]
@@ -223,10 +236,14 @@ def echelon_insert(field, basis, pivots, vec):
     return True
 
 
-def rref(field, rows):
-    """Reduced row echelon form.  Returns (rows, pivot columns), both tuples."""
-    basis: list = []
-    pivots: list = []
+def rref(field, rows, onto=((), ())):
+    """Reduced row echelon form.  Returns (rows, pivot columns), both tuples.
+
+    ``onto`` is a reduced echelon basis (rows, pivots) that ``rows`` extend:
+    the result is the reduced echelon form of its rows and ``rows``
+    together, without eliminating its rows again.
+    """
+    basis, pivots = list(onto[0]), list(onto[1])
     for row in rows:
         echelon_insert(field, basis, pivots, field.reduce(row))
     return tuple(basis), tuple(pivots)

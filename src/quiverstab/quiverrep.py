@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     DimensionTooLarge,
@@ -62,8 +63,13 @@ class FramedQuiver:
         return tuple(a for a in self.arrows if a.original)
 
 
+@cache
 def framed_quiver(rs: RootSystem) -> FramedQuiver:
-    """Double the affine diagram and attach the framing pair b, b*."""
+    """Double the affine diagram and attach the framing pair b, b*.
+
+    Memoised like :func:`build_root_system`: the quiver is a frozen record
+    determined by the Dynkin type, so equal root systems share one instance.
+    """
     arrows = []
     for i, j, mult in rs.affine_edges():
         for copy in range(1, mult + 1):
@@ -126,7 +132,7 @@ class FramedRep:
             if mat is None:
                 mat = zeros(field, m, n)
             else:
-                mat = tuple(tuple(field.coerce(x) for x in row) for row in mat)
+                mat = mat_coerce(field, mat)
                 if len(mat) != m or any(len(row) != n for row in mat):
                     raise ShapeMismatch(
                         f"arrow {a.label!r} wants a {m}x{n} matrix"

@@ -11,8 +11,9 @@ of atoms it contains as an int bitset, and containment of nodes is
 containment of their bitsets.  Within one build, each distinct echelon
 basis is interned once as a small int id (with its pivots and length),
 a node is the tuple of its per-vertex ids, each distinct join of two ids
-is eliminated once and each (vertex, id) is tested against the atom seeds
-once; the id table and both memos are dropped when the build returns.
+is eliminated once, by extending the node's reduced basis with the atom's
+rows, and each (vertex, id) is tested against the atom seeds once; the id
+table and both memos are dropped when the build returns.
 
 The atoms come from one pass over the line graph, not one spin per seed
 line: each seed line points at the lines of its nonzero arrow images, and
@@ -60,7 +61,7 @@ from .fieldops import (
     rref,
 )
 from .quiverrep import DimVector, FramedRep, INF, is_pi_bar_module
-from .stability import StabilityVector, pair_dim
+from .stability import StabilityVector
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
 DEFAULT_NODE_CAP = 4096
@@ -272,7 +273,8 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
     atom memberships are memoised on ids for the length of the build: the
     join of a node with an atom is the node with its subspace at each of
     the atom's vertices replaced by their sum, eliminated once per distinct
-    pair of ids, and a node's bitset is the OR of per-vertex bitsets,
+    pair of ids by extending the node's reduced basis with the atom's rows
+    (the ``onto`` of :func:`rref`), and a node's bitset is the OR of per-vertex bitsets,
     computed once per (vertex, id).
     """
     field = rep.field
@@ -364,10 +366,11 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
                     continue
                 sig = list(sig_a)
                 for k, i in support:
-                    key = (sig_a[k], i)
-                    j = joined.get(key)
-                    if j is None:
-                        j = joined[key] = intern(*rref(field, basis_rows[sig_a[k]] + basis_rows[i]))
+                    h = sig_a[k]
+                    j = joined.get((h, i))
+                    if j is None:  # extend the node's reduced basis by the atom's rows
+                        onto = (basis_rows[h], basis_pivots[h])
+                        j = joined[h, i] = intern(*rref(field, basis_rows[i], onto))
                     sig[k] = j
                 sig = tuple(sig)
                 if sig not in nodes:
@@ -447,17 +450,6 @@ class HNFiltration:
 
     def slopes(self):
         return tuple(layer.slope for layer in self.layers)
-
-
-def _slope(theta: StabilityVector, dims: DimVector) -> Fraction:
-    """Destabilization slope: the negated pairing per unit dimension.
-
-    Semistability demands nonnegative pairings on submodules, so the
-    destabilizing submodules are the ones with the most negative pairing;
-    negating makes "larger slope = more destabilizing" and stable modules
-    come out as a single filtration layer.
-    """
-    return Fraction(-pair_dim(theta, dims)) / dims.total()
 
 
 def _pairings(lattice: SubmoduleLattice, theta: StabilityVector) -> tuple:

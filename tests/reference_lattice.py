@@ -11,6 +11,7 @@ the interval-based engine in :mod:`quiverstab.stabcheck`.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from quiverstab.fieldops import mat_vec, reduce_against, rref
 from quiverstab.quiverrep import DimVector, FramedRep
@@ -20,11 +21,21 @@ from quiverstab.stabcheck import (
     SubmoduleNode,
     _sig_dims,
     _signature,
-    _slope,
     _vertex_order,
     spin,
 )
-from quiverstab.stability import pair_dim
+from quiverstab.stability import StabilityVector, pair_dim
+
+
+def _slope(theta: StabilityVector, dims: DimVector) -> Fraction:
+    """Destabilization slope: the negated pairing per unit dimension.
+
+    Semistability demands nonnegative pairings on submodules, so the
+    destabilizing submodules are the ones with the most negative pairing;
+    negating makes "larger slope = more destabilizing" and stable modules
+    come out as a single filtration layer.
+    """
+    return Fraction(-pair_dim(theta, dims)) / dims.total()
 
 
 def _pivots(field, rows):

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiverstab
-from quiverstab import craw_wye_theta, framed_orbit_sum
+from quiverstab import (
+    DynkinType,
+    build_root_system,
+    craw_wye_theta,
+    framed_orbit_sum,
+    framed_quiver,
+)
 from quiverstab.cli import (
     build_parser,
     main,
@@ -193,6 +199,14 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path):
     check = ["cone", "check", "--theta", str(theta_file), "--cone", "C", "--K", "2"]
     assert run(capsys, *check, "--closed") == (0, "true\n", "")
     assert run(capsys, *check) == (0, "false\n", "")
+    # commands parsed by their own parser between ones the whole parser takes
+    first = run(capsys, *check, "--closed")
+    for argv in (["stab", "-h"], check, ["bogus"], slice_argv, ["cone", "-h"]):
+        _outcome(capsys, main, argv)
+    assert run(capsys, *check, "--closed") == first
+    assert run(capsys, *slice_argv) == (0, default_out, "")
+    rs = build_root_system(DynkinType.parse("A2"))
+    assert framed_quiver(rs) is framed_quiver(build_root_system(DynkinType("A", 2)))
 
 
 def test_usage_error_exit_code(capsys):
@@ -283,6 +297,7 @@ def test_usage_and_help_match_the_whole_parser(capsys, tmp_path, monkeypatch):
     """
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
+    assert set(LEAF_ARGV) == set(build_parser().leaves)
     grid = list(_usage_grid())
     assert len(grid) == 11 * (1 + 7 + 11)
     for argv in grid:

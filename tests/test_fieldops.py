@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverstab.errors import NonIntegralEntry
 from quiverstab.fieldops import (
     QQ,
     PrimeField,
@@ -33,9 +35,26 @@ def prime_case(draw):
 
 @st.composite
 def rational_case(draw):
+    """An m x n matrix of Fractions, of ints, or of both mixed, and n."""
     m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    ints = st.integers(-5, 5)
+    entries = draw(st.sampled_from([fractions, ints, fractions | ints]))
     return draw(_matrix(entries, m, n)), n
+
+
+@st.composite
+def extension_case(draw):
+    """A field, then a base matrix and more rows of one width over it."""
+    p = draw(st.sampled_from([2, 3, 283, None]))
+    field = QQ if p is None else PrimeField(p)
+    if p is None:
+        entries = st.fractions(min_value=-5, max_value=5, max_denominator=7) | st.integers(-5, 5)
+    else:
+        entries = st.integers(-3 * p, 3 * p)
+    n = draw(st.integers(0, 5))
+    base = draw(_matrix(entries, draw(st.integers(0, 5)), n))
+    return field, base, draw(_matrix(entries, draw(st.integers(0, 5)), n))
 
 
 def _entries(result):
@@ -90,6 +109,30 @@ def test_rational_kernels_return_fractions(case):
     ]
     for x in _entries(tuple(results)):
         assert type(x) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(extension_case())
+def test_rref_onto_a_reduced_basis_is_rref_of_both(case):
+    field, base, rows = case
+    assert rref(field, rows, rref(field, base)) == rref(field, base + rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 283]),
+    st.integers(-1000, 1000) | st.booleans()
+    | st.fractions(min_value=-50, max_value=50, max_denominator=20),
+)
+def test_prime_coerce_maps_every_rational_to_its_residue(p, x):
+    field = PrimeField(p)
+    q = Fraction(x)
+    if q.denominator % p == 0:
+        with pytest.raises(NonIntegralEntry):
+            field.coerce(x)
+        return
+    image = field.coerce(x)
+    assert type(image) is int and image == q.numerator * pow(q.denominator, -1, p) % p
 
 
 def test_empty_products_are_field_zeros():

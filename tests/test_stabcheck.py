@@ -34,7 +34,7 @@ from quiverstab.errors import (
 )
 from quiverstab.fieldops import PrimeField, QQ, mat_vec
 from quiverstab.stabcheck import _vertex_order
-from reference_lattice import _subrep
+from reference_lattice import _slope, _subrep
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -361,7 +361,7 @@ def test_hn_contracts_on_corpus():
 
 def test_hn_first_layer_is_slope_semistable_in_isolation():
     # the maximal destabilizer has no submodule of strictly larger slope
-    from quiverstab.stabcheck import _max_destabilizer, _pairings, _slope
+    from quiverstab.stabcheck import _max_destabilizer, _pairings
 
     for label, type_label, n, rep in build_corpus(8):
         theta = craw_wye_theta(rep.quiver.rs, {0}, n)
