@@ -274,8 +274,8 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
     join of a node with an atom is the node with its subspace at each of
     the atom's vertices replaced by their sum, eliminated once per distinct
     pair of ids by extending the node's reduced basis with the atom's rows
-    (the ``onto`` of :func:`rref`), and a node's bitset is the OR of per-vertex bitsets,
-    computed once per (vertex, id).
+    (the ``onto`` of :func:`rref`), and a node's bitset is the OR of
+    per-vertex bitsets, computed once per (vertex, id).
     """
     field = rep.field
     if not isinstance(field, PrimeField):
