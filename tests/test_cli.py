@@ -479,6 +479,38 @@ def test_integer_entries_read_as_fraction_reads_them(text):
         assert _rational(text) == expected
 
 
+def _regex_rational(value):
+    """``cli._rational`` as it read plain integers with a regex."""
+    import re
+
+    from quiverstab.cli import MAX_EXPONENT, DocumentError
+
+    if isinstance(value, str):
+        if re.fullmatch(r"[-+]?[0-9]+", value):
+            return int(value)
+        match = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)
+        if match and abs(int(match.group(1))) > MAX_EXPONENT:
+            raise DocumentError("exponent")
+    return Fraction(value)
+
+
+@pytest.mark.parametrize("text", [
+    "+5", "-0", "05", " 5", "1_0", "١٢", "²", "", "+", "1e5", "1/2",
+    "-", "5\n", "+-5", "e9999", 7, Fraction(1, 3),
+])
+def test_rational_reads_what_the_integer_regex_read(text):
+    from quiverstab.cli import _rational
+
+    def outcome(read):
+        try:
+            value = read(text)
+        except Exception as exc:
+            return type(exc)
+        return value, type(value)
+
+    assert outcome(_rational) == outcome(_regex_rational)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
 def test_integer_document_entries_coerce_to_the_same_types(rs_a2, field):
     rep = framed_orbit_sum(rs_a2, [(1, 0), (0, 1)], field)

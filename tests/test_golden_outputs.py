@@ -5,6 +5,9 @@ Pins the sha256 of the stdout, SVG and TSV of default-plane slices, of
 every chamber C_K (open and closed).  The hashes were recorded before the
 integer sign kernel replaced the Fraction pairings, so a change anywhere
 in sign vectors, cone tests, arrangements or rendering shows up here.
+The slices on the two explicit planes of the chambers benchmark and the
+``--label`` slice were recorded before slice cells were built and signed
+from integer points and lines.
 
 It also pins the `mckay verify` stdout of cyclic:13..32 and bd:8..30
 against their designated types, beyond the groups that
@@ -29,6 +32,13 @@ from quiverstab.mckay import GroupSpec
 
 SLICES = [("A1", 1), ("A1", 6), ("A1", 12), ("A2", 1), ("A2", 3), ("A2", 8),
           ("A3", 2), ("A3", 3), ("D4", 1), ("D4", 2), ("E6", 1)]
+# slices with an explicit --plane (the planes of the chambers benchmark) or --label
+OPTION_SLICES = {
+    "slice A3 n=2 plane": ("A3", 2, "--plane", "base=1,0,0,0;d1=-3,2,0,1;d2=-3,0,2,1;window=-1,2,-1,2"),
+    "slice D4 n=1 plane": ("D4", 1, "--plane", "base=1,0,0,0,0;d1=-7,2,1,1,1;d2=-7,1,1,1,2;window=-1,2,-1,2"),
+    "slice A2 n=3 labels": ("A2", 3, "--label", "C+:C:1,2", "--label", "C1:C:1",
+                            "--label", "s2:sigma:2", "--label", "F:F:"),
+}
 BUILDS = [("A2", 3), ("A3", 2), ("D4", 2), ("E6", 1), ("E8", 2)]
 CONE_CHECKS = [("A2", 3, 3), ("A3", 2, 4), ("D4", 2, 5)]  # (type, n, vertex count)
 MCKAY = [f"cyclic:{m}" for m in range(13, 33)] + [f"bd:{m}" for m in range(8, 31)]
@@ -88,6 +98,21 @@ GOLDEN = {
         "stdout": "555c1dc75ad0c0716ba1036a8789ab468d4ba0298e4928b8977d22fb16d2f9a6",
         "svg": "8f9aa2f2b9a244d792c49a258ad761a01bd6feb34356eb26435d216ddb2714e0",
         "tsv": "4c45172d18f13f4d6e48ca46eecb48794fa41b99d161f00eb4c65365b864c079",
+    },
+    "slice A3 n=2 plane": {
+        "stdout": "0af74deaea5c8479bd73ecd669aaf8f16a71fe0e7a78a392ea99f010f8c420e1",
+        "svg": "a66244631a5da90ca811d7bac2fb2742a3394d85f7f3d19ba042fea80b7f7d5e",
+        "tsv": "d52aaae09661fff4c44f41da9bb11bb8731a41a4c6b6e08495b6a9565a5d7484",
+    },
+    "slice D4 n=1 plane": {
+        "stdout": "09c31c9e6d067d75325e79b25d1296198f553972646a941d6a01fad673164ff1",
+        "svg": "7eb2ed7bdad4bffb747c3a69b1c064ff7b4d924312199282f6e23951ec5cca41",
+        "tsv": "7c2e8db5c0157ccaa0ed8b97d1e508e74057ada2bc8280173054c62ebf081d73",
+    },
+    "slice A2 n=3 labels": {
+        "stdout": "0cc745f176ed1bcac7a56ed79a78d8dfe8cb29112677293a675dd31f358b7470",
+        "svg": "8711429d1b0bb37c8101d306fc755d7ab3943bcaec197a5efacca6cc0a703b16",
+        "tsv": "25025daadab7f113df50bb04a3281604967dbdff5d96da3a7116672d5d4a054c",
     },
     "build A2 n=3": "309871379052818e0dcece647137ddccdf5250320c5693643b1384f1e74f5da4",
     "build A3 n=2": "5be4e2c8597fd3b0c964e2c9212717a6a12b6cd330099bc1717d0c0235917a7a",
@@ -158,9 +183,9 @@ def _subsets(items):
     return [[x for b, x in enumerate(items) if mask >> b & 1] for mask in range(1 << len(items))]
 
 
-def _slice(tmp: Path, label: str, n: int) -> dict:
-    svg, tsv = tmp / f"{label}_{n}.svg", tmp / f"{label}_{n}.tsv"
-    stdout = _main("walls", "slice", "--type", label, "-n", str(n),
+def _slice(tmp: Path, label: str, n: int, *options) -> dict:
+    svg, tsv = tmp / f"{label}_{n}_{len(options)}.svg", tmp / f"{label}_{n}_{len(options)}.tsv"
+    stdout = _main("walls", "slice", "--type", label, "-n", str(n), *options,
                    "--out", str(svg), "--table", str(tsv))
     return {"stdout": _sha(stdout), "svg": _sha(svg.read_text()), "tsv": _sha(tsv.read_text())}
 
@@ -187,6 +212,8 @@ def outputs(tmp: Path) -> dict:
     got = {}
     for label, n in SLICES:
         got[f"slice {label} n={n}"] = _slice(tmp, label, n)
+    for case, (label, n, *options) in OPTION_SLICES.items():
+        got[case] = _slice(tmp, label, n, *options)
     for label, n in BUILDS:
         got[f"build {label} n={n}"] = _sha(_main("walls", "build", "--type", label, "-n", str(n)))
     for label, n, n_vertices in CONE_CHECKS:
