@@ -38,6 +38,7 @@ from .stability import (
     craw_wye_theta,
     make_theta,
     pair_dim,
+    theta_from_nums,
 )
 from .walls import (
     Arrangement,

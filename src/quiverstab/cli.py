@@ -46,7 +46,6 @@ _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError, Ze
 MAX_EXPONENT = 4300
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-_INTEGER = re.compile(r"[-+]?[0-9]+")
 
 
 def _rational(value):
@@ -60,7 +59,9 @@ def _rational(value):
     reports as malformed.
     """
     if isinstance(value, str):
-        if _INTEGER.fullmatch(value):
+        digits = value[1:] if value.startswith(("+", "-")) else value
+        # isdigit alone would accept "²" and "١٢" too; isascii keeps it to 0-9
+        if digits.isascii() and digits.isdigit():
             return int(value)
         match = _EXPONENT.search(value)
         if match and abs(int(match.group(1))) > MAX_EXPONENT:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BadSubset, ContextMismatch, IndexMismatch
 from .fieldops import dot, signs
@@ -26,8 +26,10 @@ class StabilityVector:
 
     ``den`` is the least common denominator of the entries (always
     positive) and ``nums`` their integer numerators over it, so entry i is
-    nums[i] / den.  Both are computed once by :func:`make_theta`; every
-    pairing and sign is then int arithmetic, divided by ``den`` at most once.
+    nums[i] / den.  Both are computed once, by :func:`make_theta` from the
+    entries or by :func:`theta_from_nums` from numerators over any positive
+    denominator; every pairing and sign is then int arithmetic, divided by
+    ``den`` at most once.
     """
 
     rs: RootSystem
@@ -45,18 +47,45 @@ class StabilityVector:
         return self.value(self.rs.delta)
 
 
-def make_theta(rs: RootSystem, v, entries) -> StabilityVector:
-    """Build a stability vector; the framing entry balances (1, v) to zero."""
+def _context(rs: RootSystem, v, entries) -> tuple:
     v = tuple(int(x) for x in v)
     if len(v) != len(rs.vertices) or len(entries) != len(rs.vertices):
         raise IndexMismatch("context and entries must cover the affine vertices")
+    return v
+
+
+def _framed(rs: RootSystem, v: tuple, entries: tuple, nums: tuple, den: int) -> StabilityVector:
+    return StabilityVector(
+        rs=rs, context=v, entries=entries, theta_inf=Fraction(-dot(v, nums), den),
+        nums=nums, den=den,
+    )
+
+
+def make_theta(rs: RootSystem, v, entries) -> StabilityVector:
+    """Build a stability vector; the framing entry balances (1, v) to zero."""
+    v = _context(rs, v, entries)
     ent = tuple(Fraction(x) for x in entries)
     den = lcm(*[x.denominator for x in ent])
     nums = tuple([x.numerator * (den // x.denominator) for x in ent])
-    return StabilityVector(
-        rs=rs, context=v, entries=ent, theta_inf=Fraction(-dot(v, nums), den),
-        nums=nums, den=den,
-    )
+    return _framed(rs, v, ent, nums, den)
+
+
+def theta_from_nums(rs: RootSystem, v, nums, den: int) -> StabilityVector:
+    """The stability vector with entries nums[i] / den, for ints nums and den > 0.
+
+    Equal to ``make_theta`` on the entries ``Fraction(x, den)``, ``nums``
+    and ``den`` included: dividing both by their gcd leaves ``den`` the
+    least common denominator of the entries.
+    """
+    v = _context(rs, v, nums)
+    if den < 1:
+        raise ValueError("the denominator must be positive")
+    g = gcd(den, *nums)
+    if g > 1:
+        nums = [x // g for x in nums]
+        den //= g
+    nums = tuple(nums)
+    return _framed(rs, v, tuple([Fraction(x, den) for x in nums]), nums, den)
 
 
 def pair_dim(theta: StabilityVector, d: DimVector) -> Fraction:
@@ -196,9 +225,8 @@ def craw_wye_theta(rs: RootSystem, J, n: int) -> StabilityVector:
     if not J <= set(rs.vertices):
         raise BadSubset("J contains unknown vertices")
     h = rs.h
-    entries = [Fraction(0)] * len(rs.vertices)
+    nums = [0] * len(rs.vertices)
     for i in rs.vertices[1:]:
-        entries[i] = Fraction(n * h) if i in J else Fraction(1)
-    entries[0] = h - sum(rs.delta[i] * entries[i] for i in rs.vertices[1:])
-    v = tuple(n * d for d in rs.delta)
-    return make_theta(rs, v, entries)
+        nums[i] = n * h if i in J else 1
+    nums[0] = h - dot(rs.delta, nums)
+    return theta_from_nums(rs, tuple(n * d for d in rs.delta), nums, 1)

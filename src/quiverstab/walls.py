@@ -5,7 +5,13 @@ The arrangement collects the isotropic wall and every wall of the form
 primitive sign-normalized integer normals.  Feasibility of inequality
 systems is decided by Fourier-Motzkin elimination over the rationals with
 strictness tracking, which doubles as a witness generator for chamber and
-cone membership.
+cone membership.  Rows are integral after elimination, and the witness is
+rebuilt as int numerators over one positive denominator.
+
+A slice pairs every wall with its plane once, as an integer line
+a*s + b*t + c, and builds each cell's stability vector from the integer
+centroid (s/m, t/m): its numerators are base*m + d1*s + d2*t over the
+plane's den times m, and a wall's sign there is that of a*s + b*t + c*m.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import geom2d
 from .errors import (
@@ -26,7 +32,7 @@ from .errors import (
 )
 from .fieldops import QQ, dot, identity, mat_coerce, nullspace, primitive, signs
 from .rootsys import RootLatticeVector, RootSystem, m_delta_plus_root
-from .stability import StabilityVector, cone_membership, holds, make_theta
+from .stability import StabilityVector, cone_membership, holds, make_theta, theta_from_nums
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,12 @@ def _feasible_point(constraints, nvars):
 
     Equalities are removed by substitution first, then the inequalities by
     Fourier-Motzkin; the witness is rebuilt by back-substitution and checked
-    against every original row.
+    against every original row.  After elimination every row is integral,
+    and the witness is held as int numerators over one positive
+    denominator: each bound (b * den - c.nums) / (c[var] * den) is compared
+    with the others by cross-multiplying, the value chosen is reduced, and
+    the numerators are rescaled to the lcm of the denominators.  Returns
+    (nums, den): the point nums[i] / den, den the least common denominator.
     """
     original = [_normalize(c, r, b) for c, r, b in constraints]
     rows = list(original)
@@ -185,46 +196,70 @@ def _feasible_point(constraints, nvars):
                     return None
         rows = sorted(fresh)
 
-    # each variable is set once, so values[var] is still 0 while its own
-    # row is evaluated and dot() gives the pairing with the other variables
-    values = [Fraction(0)] * nvars
+    # the witness is nums / den with den > 0; each variable is set once, so
+    # nums[var] is still 0 while its own row is evaluated and dot() gives
+    # the pairing with the other variables
+    nums, den = [0] * nvars, 1
+
+    def assign(var, p, q):
+        """Set variable var to p / q (q > 0), rescaling nums to a common den."""
+        nonlocal den
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        common = lcm(den, q)
+        if common != den:
+            scale = common // den
+            nums[:] = [x * scale for x in nums]
+            den = common
+        nums[var] = p * (common // q)
+
     for var, system in reversed(stages):
-        best_lo = None  # (value, strict)
+        best_lo = None  # (numerator, denominator > 0, strict)
         best_hi = None
         for c, rel, b in system:
             if c[var] == 0:
                 continue
-            bound = (b - dot(c, values)) / c[var]
+            # the bound (b - c.values) / c[var], as p / q with q > 0
+            p, q = b * den - dot(c, nums), c[var] * den
             strict = rel == ">"
-            if c[var] > 0:
-                if best_lo is None or bound > best_lo[0] or (
-                    bound == best_lo[0] and strict
+            if q > 0:
+                if best_lo is None or p * best_lo[1] > best_lo[0] * q or (
+                    strict and p * best_lo[1] == best_lo[0] * q
                 ):
-                    best_lo = (bound, strict)
+                    best_lo = (p, q, strict)
             else:
-                if best_hi is None or bound < best_hi[0] or (
-                    bound == best_hi[0] and strict
+                p, q = -p, -q
+                if best_hi is None or p * best_hi[1] < best_hi[0] * q or (
+                    strict and p * best_hi[1] == best_hi[0] * q
                 ):
-                    best_hi = (bound, strict)
+                    best_hi = (p, q, strict)
         if best_lo is None and best_hi is None:
-            values[var] = Fraction(0)
-        elif best_hi is None:
-            values[var] = best_lo[0] + 1
+            continue  # the variable stays 0
+        if best_hi is None:
+            p, q, _ = best_lo
+            assign(var, p + q, q)
         elif best_lo is None:
-            values[var] = best_hi[0] - 1
-        elif best_lo[0] < best_hi[0]:
-            values[var] = (best_lo[0] + best_hi[0]) / 2
+            p, q, _ = best_hi
+            assign(var, p - q, q)
         else:
-            if best_lo[0] > best_hi[0] or best_lo[1] or best_hi[1]:
-                raise AssertionError("elimination certified an infeasible stage")
-            values[var] = best_lo[0]
+            (lp, lq, lstrict), (hp, hq, hstrict) = best_lo, best_hi
+            lo, hi = lp * hq, hp * lq  # both over lq * hq
+            if lo < hi:
+                assign(var, lo + hi, 2 * lq * hq)
+            else:
+                if lo > hi or lstrict or hstrict:
+                    raise AssertionError("elimination certified an infeasible stage")
+                assign(var, lp, lq)
 
     for var, coeffs, rhs in reversed(substitutions):
-        values[var] = (rhs - dot(coeffs, values)) / coeffs[var]
+        p, q = rhs * den - dot(coeffs, nums), coeffs[var] * den
+        if q < 0:
+            p, q = -p, -q
+        assign(var, p, q)
 
-    if not all(holds(dot(c, values), rel, b) for c, rel, b in original):
+    if not all(holds(dot(c, nums), rel, b * den) for c, rel, b in original):
         raise AssertionError("witness fails a constraint it was built from")
-    return values
+    return nums, den
 
 
 def _as_triples(constraints):
@@ -239,10 +274,18 @@ def interior_point(rs: RootSystem, n: int, constraints):
     ">", ">=", "=".  Returns a stability vector with context n * delta, or
     None when the system is infeasible.
     """
-    values = _feasible_point(_as_triples(constraints), len(rs.vertices))
-    if values is None:
+    found = _feasible_point(_as_triples(constraints), len(rs.vertices))
+    if found is None:
         return None
-    return make_theta(rs, tuple(n * d for d in rs.delta), values)
+    return theta_from_nums(rs, tuple(n * d for d in rs.delta), *found)
+
+
+def _fractions(found):
+    """The point of a :func:`_feasible_point` result as Fractions, or None."""
+    if found is None:
+        return None
+    nums, den = found
+    return [Fraction(x, den) for x in nums]
 
 
 def _equality_directions(rs, constraints):
@@ -267,7 +310,7 @@ def generic_relint_point(rs: RootSystem, n: int, constraints, avoid):
     """
     triples = _as_triples(constraints)
     nvars = len(rs.vertices)
-    point = _feasible_point(triples, nvars)
+    point = _fractions(_feasible_point(triples, nvars))
     if point is None:
         return None, ()
     avoid = [tuple(c) for c in avoid]
@@ -275,9 +318,11 @@ def generic_relint_point(rs: RootSystem, n: int, constraints, avoid):
     for c in avoid:
         if dot(c, point) != 0:
             continue
-        target = _feasible_point(triples + [(c, ">", 0)], nvars)
+        target = _fractions(_feasible_point(triples + [(c, ">", 0)], nvars))
         if target is None:
-            target = _feasible_point(triples + [(tuple(-x for x in c), ">", 0)], nvars)
+            target = _fractions(
+                _feasible_point(triples + [(tuple(-x for x in c), ">", 0)], nvars)
+            )
         if target is None:
             forced.append(c)
             continue
@@ -363,14 +408,10 @@ class SlicePlane:
         object.__setattr__(self, "nums", nums)
 
     def theta_entries(self, s: Fraction, t: Fraction):
+        """The entries at the point (s, t) of the plane."""
         s, t = Fraction(s), Fraction(t)
         m = lcm(s.denominator, t.denominator)
-        return self._entries_at(
-            s.numerator * (m // s.denominator), t.numerator * (m // t.denominator), m
-        )
-
-    def _entries_at(self, s: int, t: int, m: int):
-        """The entries at the point (s/m, t/m) of the plane, m > 0."""
+        s, t = s.numerator * (m // s.denominator), t.numerator * (m // t.denominator)
         den = self.den * m
         return tuple([
             Fraction(b * m + x * s + y * t, den) for b, x, y in zip(*self.nums)
@@ -588,20 +629,27 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels=None) -> Slic
     """
     _check_slice(rs, n, plane)
     arr = build_arrangement(rs, n)
-    lines = []
-    for h in arr.hyperplanes:
-        line = _pairings(plane, h.coeffs)
-        if line[:2] != (0, 0):  # otherwise the wall misses the plane
-            lines.append(line)
+    # every wall as its line (a, b, c) over the plane, in arrangement order;
+    # a wall that misses the plane has a = b = 0 and the constant sign of c
+    wall_lines = [_pairings(plane, h.coeffs) for h in arr.hyperplanes]
+    lines = [line for line in wall_lines if line[:2] != (0, 0)]
 
     cycles = geom2d.arrangement_cells(lines, plane.window)
     context = tuple(n * d for d in rs.delta)
+    base, d1, d2 = plane.nums
     if labels is not None:
         color_of = {name: _PALETTE[i % len(_PALETTE)] for i, (name, _) in enumerate(labels)}
     cells, fills, centroids = [], [], []
     for idx, cycle in enumerate(cycles):
-        point = _centroid(cycle)
-        theta = make_theta(rs, context, plane._entries_at(*point))
+        point = s, t, m = _centroid(cycle)
+        # theta at (s/m, t/m) is (base*m + d1*s + d2*t) / (den*m), and each
+        # wall pairs with it as (a*s + b*t + c*m) / (den*m), den*m > 0
+        theta = theta_from_nums(
+            rs, context, [z * m + x * s + y * t for z, x, y in zip(base, d1, d2)], plane.den * m
+        )
+        cell_signs = tuple([
+            "0+-"[(v > 0) - (v < 0)] for v in [a * s + b * t + c * m for a, b, c in wall_lines]
+        ])
         if labels is None:
             found = chamber_label(theta, n)
             label = found[0] if found else "-"
@@ -615,7 +663,7 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels=None) -> Slic
                 cell_id=idx,
                 vertices=cycle,
                 theta=theta,
-                signs=sign_vector(arr, theta),
+                signs=cell_signs,
                 label=label,
             )
         )

@@ -12,13 +12,14 @@ hash recorded while the back-substitution was still in Fractions.
 """
 
 import hashlib
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 import reference_stability as ref
 from quiverstab import ConeSpec, DynkinType, build_root_system, cone_constraints
-from quiverstab.walls import generic_relint_point, interior_point
+from quiverstab.walls import _feasible_point, generic_relint_point, interior_point
 
 RELATIONS = (">", ">=", "=")
 
@@ -40,6 +41,24 @@ def systems(draw, min_vars=1):
         ))
         rows.append((coeffs, rel, rhs))
     return nvars, rows
+
+
+def _as_fractions(found):
+    if found is None:
+        return None
+    nums, den = found
+    return [Fraction(x, den) for x in nums]
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=systems())
+def test_feasible_point_matches_the_fraction_back_substitution(system):
+    nvars, rows = system
+    found = _feasible_point(rows, nvars)
+    if found is not None:
+        nums, den = found
+        assert den > 0 and all(type(x) is int for x in nums)
+    assert _as_fractions(found) == ref.feasible_point(rows, nvars)
 
 
 @settings(max_examples=150, deadline=None)

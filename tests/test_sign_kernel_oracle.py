@@ -7,6 +7,7 @@ where a sign is 0 and a closed cone differs from the open one.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_stability as ref
@@ -21,7 +22,9 @@ from quiverstab import (
     make_theta,
     pair_dim,
     sign_vector,
+    theta_from_nums,
 )
+from quiverstab.errors import IndexMismatch
 
 TYPES = ["A1", "A2", "A3", "D4", "E6"]
 
@@ -88,6 +91,44 @@ def test_numerators_are_over_the_least_common_denominator(rs_a2):
     theta = make_theta(rs_a2, rs_a2.delta, (Fraction(-1, 6), Fraction(3, 4), 2))
     assert (theta.nums, theta.den) == ((-2, 9, 24), 12)
     assert make_theta(rs_a2, rs_a2.delta, (0, 0, 0)).den == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    label=st.sampled_from(TYPES),
+    n=st.integers(1, 3),
+    data=st.data(),
+    den=st.integers(1, 10**6),
+    factor=st.sampled_from([1, 2, 6, 7 * 11, 2**40]),
+)
+def test_theta_from_nums_is_make_theta_of_the_fractions(label, n, data, den, factor):
+    rs = build_root_system(DynkinType.parse(label))
+    size = len(rs.vertices)
+    nums = data.draw(st.one_of(
+        st.just([0] * size),
+        st.lists(st.integers(-10**20, 10**20), min_size=size, max_size=size),
+        st.lists(st.integers(-3, 3), min_size=size, max_size=size),
+    ))
+    # a common factor of the numerators and the denominator
+    nums, den = [x * factor for x in nums], den * factor
+    context = tuple(n * d for d in rs.delta)
+    got = theta_from_nums(rs, context, nums, den)
+    want = make_theta(rs, context, [Fraction(x, den) for x in nums])
+    assert got == want
+    assert (got.nums, got.den) == (want.nums, want.den)
+    assert all(type(x) is int for x in got.nums) and type(got.den) is int
+
+
+def test_theta_from_nums_refuses_wrong_lengths_and_denominators(rs_a2):
+    with pytest.raises(IndexMismatch):
+        theta_from_nums(rs_a2, rs_a2.delta, [1, 2], 1)
+    with pytest.raises(IndexMismatch):
+        theta_from_nums(rs_a2, (1, 1), [1, 2, 3], 1)
+    with pytest.raises(IndexMismatch):
+        theta_from_nums(rs_a2, rs_a2.delta, [1, 2, 3, 4], 5)
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            theta_from_nums(rs_a2, rs_a2.delta, [1, 2, 3], den)
 
 
 def test_cone_constraints_returns_a_fresh_list(rs_a2):
