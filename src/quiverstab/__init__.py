@@ -42,7 +42,6 @@ from .stability import (
 )
 from .walls import (
     Arrangement,
-    Hyperplane,
     SlicePlane,
     build_arrangement,
     chamber_label,

@@ -236,6 +236,10 @@ def _parse_label(text: str, n: int):
             f"label {text!r} is not name:kind:K or name:kind:K:Kp"
         )
     name, kind = parts[0], parts[1]
+    # "-" marks an unlabeled cell; the table is tab-separated lines, and XML
+    # admits no control character
+    if name in ("", "-") or not name.isprintable():
+        raise DocumentError(f"label name {name!r} is empty, '-' or not printable")
     K = _parse_vertex_set(parts[2])
     Kp = _parse_vertex_set(parts[3]) if len(parts) == 4 else frozenset()
     return name, ConeSpec(kind=kind, n=n, K=K, Kp=Kp)
@@ -307,7 +311,7 @@ def _cmd_walls_build(args) -> int:
     arr = build_arrangement(rs, args.n)
     print(f"count {len(arr)}")
     for h in arr.hyperplanes:
-        print(" ".join(str(c) for c in h.coeffs))
+        print(" ".join(str(c) for c in h))
     return 0
 
 

@@ -142,17 +142,29 @@ def signs(rows, point):
     return [(v > 0) - (v < 0) for v in (dot(row, point) for row in rows)]
 
 
+def over_lcd(values):
+    """Int numerators over the least common denominator of a rational vector.
+
+    Returns (nums, den) with den > 0 and entry i equal to nums[i] / den; an
+    all-int vector is its own numerators over 1.
+    """
+    values = tuple(values)
+    if all([type(x) is int for x in values]):
+        return values, 1
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = lcm(*[x.denominator for x in values])
+    return tuple([x.numerator * (den // x.denominator) for x in values]), den
+
+
 def primitive(values):
     """The primitive integer vector on the ray of a rational vector.
 
     Clears denominators and divides by the content, keeping the sign; the
     zero vector stays zero.
     """
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
-    scale = lcm(*[x.denominator for x in values])
-    ints = [x.numerator * scale // x.denominator for x in values]
+    ints, _ = over_lcd(values)
     content = gcd(*ints)
-    return tuple([x // content for x in ints]) if content > 1 else tuple(ints)
+    return tuple([x // content for x in ints]) if content > 1 else ints
 
 
 # -- matrices: tuples of row tuples ------------------------------------------

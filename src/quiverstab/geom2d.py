@@ -15,20 +15,20 @@ turns counterclockwise at its lexicographically least vertex, a strict
 corner of every traced face, which one integer 3x3 determinant decides.
 Euler's formula V - E + F = 2 (the outer face counted) must hold on the
 traced graph, so a tracing fault raises instead of drawing a wrong figure.
-The only public entry point returns the bounded open cells inside the
-window as counterclockwise vertex cycles; every cell is convex because it
-is an intersection of half planes.  The returned vertices are pairs of
-Fractions, each converted once from its triple.
+The window is read as int numerators over one common denominator, and
+its borders are int lines.  The only public entry point returns the
+bounded open cells inside the window as counterclockwise vertex cycles of
+those triples; every cell is convex because it is an intersection of half
+planes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DegeneratePlane, FaceCountMismatch
-from .fieldops import primitive
+from .fieldops import over_lcd, primitive
 
 
 def _direction_cmp(d1, d2):
@@ -76,17 +76,13 @@ def arrangement_cells(lines, window):
     :class:`DegeneratePlane`; a traced graph that fails Euler's formula
     raises :class:`FaceCountMismatch`.
     """
-    bounds = [Fraction(w) for w in window]
-    xmin, xmax, ymin, ymax = bounds
-    if not (xmin < xmax and ymin < ymax):
+    (x0, x1, y0, y1), den = over_lcd(window)
+    if not (x0 < x1 and y0 < y1):
         raise DegeneratePlane("window must have positive extent")
-    borders = [(1, 0, -xmin), (1, 0, -xmax), (0, 1, -ymin), (0, 1, -ymax)]
+    borders = [(den, 0, -x0), (den, 0, -x1), (0, den, -y0), (0, den, -y1)]
     keys = list(dict.fromkeys(_integer_line(line) for line in borders + list(lines)))
 
-    # every pair once; each line keeps the points inside the closed window,
-    # tested against the window over one common denominator
-    den = lcm(*[w.denominator for w in bounds])
-    x0, x1, y0, y1 = (w.numerator * (den // w.denominator) for w in bounds)
+    # every pair once; each line keeps the points inside the closed window
     on_line = [set() for _ in keys]
     for i, (a1, b1, c1) in enumerate(keys):
         for j in range(i + 1, len(keys)):
@@ -144,5 +140,4 @@ def arrangement_cells(lines, window):
             f"traced {len(points)} vertices, {edges} edges and {faces} faces"
         )
     cells.sort()
-    pairs = [(Fraction(x, w), Fraction(y, w)) for x, y, w in points]
-    return [tuple([pairs[k] for k in cell]) for cell in cells]
+    return [tuple([points[k] for k in cell]) for cell in cells]

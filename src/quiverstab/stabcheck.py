@@ -458,7 +458,7 @@ def _pairings(lattice: SubmoduleLattice, theta: StabilityVector) -> tuple:
     Same value as :func:`pair_dim` times the positive ``theta.den``, so
     signs and ratios of pairings are those of the exact rationals.
     """
-    if len(lattice.rep.dims.v) != len(theta.entries):
+    if len(lattice.rep.dims.v) != len(theta.nums):
         raise IndexMismatch("dimension vector does not match the vertex set")
     nums = theta.nums
     framing = dot(theta.context, nums)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd
 
 from .errors import BadSubset, ContextMismatch, IndexMismatch
-from .fieldops import dot, signs
+from .fieldops import dot, over_lcd, signs
 from .quiverrep import DimVector
 from .rootsys import RootSystem
 
@@ -26,18 +26,27 @@ class StabilityVector:
 
     ``den`` is the least common denominator of the entries (always
     positive) and ``nums`` their integer numerators over it, so entry i is
-    nums[i] / den.  Both are computed once, by :func:`make_theta` from the
-    entries or by :func:`theta_from_nums` from numerators over any positive
-    denominator; every pairing and sign is then int arithmetic, divided by
-    ``den`` at most once.
+    nums[i] / den.  The pair is canonical, so equal vectors compare and
+    hash equal; :func:`theta_from_nums` makes it from numerators over any
+    positive denominator, and :func:`make_theta` from rational entries.
+    Every pairing and sign is int arithmetic, divided by ``den`` at most
+    once; ``entries`` and ``theta_inf`` give the Fractions on demand.
     """
 
     rs: RootSystem
     context: tuple  # dimension vector v over the affine vertices
-    entries: tuple  # exact rationals over the affine vertices
-    theta_inf: Fraction
-    nums: tuple = dc_field(repr=False, compare=False)  # entries * den, as ints
-    den: int = dc_field(repr=False, compare=False)
+    nums: tuple  # entries * den, as ints
+    den: int
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The exact rationals over the affine vertices."""
+        return tuple([Fraction(x, self.den) for x in self.nums])
+
+    @cached_property
+    def theta_inf(self) -> Fraction:
+        """The framing entry, which balances (1, context) to zero."""
+        return Fraction(-dot(self.context, self.nums), self.den)
 
     def value(self, coeffs) -> Fraction:
         """Pairing with an integer coefficient vector over the affine vertices."""
@@ -47,27 +56,9 @@ class StabilityVector:
         return self.value(self.rs.delta)
 
 
-def _context(rs: RootSystem, v, entries) -> tuple:
-    v = tuple(int(x) for x in v)
-    if len(v) != len(rs.vertices) or len(entries) != len(rs.vertices):
-        raise IndexMismatch("context and entries must cover the affine vertices")
-    return v
-
-
-def _framed(rs: RootSystem, v: tuple, entries: tuple, nums: tuple, den: int) -> StabilityVector:
-    return StabilityVector(
-        rs=rs, context=v, entries=entries, theta_inf=Fraction(-dot(v, nums), den),
-        nums=nums, den=den,
-    )
-
-
 def make_theta(rs: RootSystem, v, entries) -> StabilityVector:
     """Build a stability vector; the framing entry balances (1, v) to zero."""
-    v = _context(rs, v, entries)
-    ent = tuple(Fraction(x) for x in entries)
-    den = lcm(*[x.denominator for x in ent])
-    nums = tuple([x.numerator * (den // x.denominator) for x in ent])
-    return _framed(rs, v, ent, nums, den)
+    return theta_from_nums(rs, v, *over_lcd(entries))
 
 
 def theta_from_nums(rs: RootSystem, v, nums, den: int) -> StabilityVector:
@@ -77,15 +68,16 @@ def theta_from_nums(rs: RootSystem, v, nums, den: int) -> StabilityVector:
     and ``den`` included: dividing both by their gcd leaves ``den`` the
     least common denominator of the entries.
     """
-    v = _context(rs, v, nums)
+    v = tuple(int(x) for x in v)
+    if len(v) != len(rs.vertices) or len(nums) != len(rs.vertices):
+        raise IndexMismatch("context and entries must cover the affine vertices")
     if den < 1:
         raise ValueError("the denominator must be positive")
     g = gcd(den, *nums)
     if g > 1:
         nums = [x // g for x in nums]
         den //= g
-    nums = tuple(nums)
-    return _framed(rs, v, tuple([Fraction(x, den) for x in nums]), nums, den)
+    return StabilityVector(rs=rs, context=v, nums=tuple(nums), den=den)
 
 
 def pair_dim(theta: StabilityVector, d: DimVector) -> Fraction:
@@ -93,7 +85,7 @@ def pair_dim(theta: StabilityVector, d: DimVector) -> Fraction:
 
     One integer pairing over ``den``: theta_inf * den = -dot(context, nums).
     """
-    if len(d.v) != len(theta.entries):
+    if len(d.v) != len(theta.nums):
         raise IndexMismatch("dimension vector does not match the vertex set")
     return Fraction(dot(d.v, theta.nums) - d.r * dot(theta.context, theta.nums), theta.den)
 

@@ -30,24 +30,15 @@ from .errors import (
     SamplerExhausted,
     SliceTooLarge,
 )
-from .fieldops import QQ, dot, identity, mat_coerce, nullspace, primitive, signs
-from .rootsys import RootLatticeVector, RootSystem, m_delta_plus_root
+from .fieldops import QQ, dot, identity, mat_coerce, nullspace, over_lcd, primitive, signs
+from .rootsys import RootSystem, m_delta_plus_root
 from .stability import StabilityVector, cone_membership, holds, make_theta, theta_from_nums
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """A wall, stored as a primitive integer normal with normalized sign."""
-
-    normal: RootLatticeVector
-
-    @property
-    def coeffs(self):
-        return self.normal.coeffs
-
-
-@dataclass(frozen=True)
 class Arrangement:
+    """The walls for one n, each its primitive sign-normalized int normal, sorted."""
+
     rs: RootSystem
     n: int
     hyperplanes: tuple
@@ -91,9 +82,7 @@ def build_arrangement(rs: RootSystem, n: int) -> Arrangement:
             normals.append(tuple([x + y for x, y in zip(shift, root)]))
             normals.append(tuple([x - y for x, y in zip(shift, root)]))
     normals.sort()
-    return Arrangement(
-        rs=rs, n=n, hyperplanes=tuple(Hyperplane(RootLatticeVector(rs, c)) for c in normals)
-    )
+    return Arrangement(rs=rs, n=n, hyperplanes=tuple(normals))
 
 
 def sign_vector(arr: Arrangement, theta: StabilityVector):
@@ -102,7 +91,7 @@ def sign_vector(arr: Arrangement, theta: StabilityVector):
     if theta.context != expected:
         raise ContextMismatch("stability context does not match the arrangement")
     # den > 0, so the numerators give the signs; "0+-"[s] reads 0, 1, -1 as 0, +, -
-    return tuple("0+-"[s] for s in signs([h.coeffs for h in arr.hyperplanes], theta.nums))
+    return tuple("0+-"[s] for s in signs(arr.hyperplanes, theta.nums))
 
 
 def sign_string(signs) -> str:
@@ -401,17 +390,14 @@ class SlicePlane:
     den: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vectors = [[Fraction(x) for x in v] for v in (self.base, self.d1, self.d2)]
-        den = lcm(*[x.denominator for v in vectors for x in v])
-        nums = tuple(tuple([x.numerator * (den // x.denominator) for x in v]) for v in vectors)
+        nums, den = over_lcd((*self.base, *self.d1, *self.d2))
+        a, b = len(self.base), len(self.base) + len(self.d1)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "nums", (nums[:a], nums[a:b], nums[b:]))
 
     def theta_entries(self, s: Fraction, t: Fraction):
         """The entries at the point (s, t) of the plane."""
-        s, t = Fraction(s), Fraction(t)
-        m = lcm(s.denominator, t.denominator)
-        s, t = s.numerator * (m // s.denominator), t.numerator * (m // t.denominator)
+        (s, t), m = over_lcd((s, t))
         den = self.den * m
         return tuple([
             Fraction(b * m + x * s + y * t, den) for b, x, y in zip(*self.nums)
@@ -455,6 +441,8 @@ def figure_plane(rs: RootSystem) -> SlicePlane:
 
 @dataclass(frozen=True)
 class SliceCell:
+    """An open cell: a CCW cycle of int triples (x, y, w) for (x/w, y/w), w > 0 and gcd 1."""
+
     cell_id: int
     vertices: tuple
     theta: StabilityVector
@@ -631,7 +619,7 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels=None) -> Slic
     arr = build_arrangement(rs, n)
     # every wall as its line (a, b, c) over the plane, in arrangement order;
     # a wall that misses the plane has a = b = 0 and the constant sign of c
-    wall_lines = [_pairings(plane, h.coeffs) for h in arr.hyperplanes]
+    wall_lines = [_pairings(plane, h) for h in arr.hyperplanes]
     lines = [line for line in wall_lines if line[:2] != (0, 0)]
 
     cycles = geom2d.arrangement_cells(lines, plane.window)
@@ -682,17 +670,15 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels=None) -> Slic
 
 
 def _centroid(cycle):
-    """The vertex average of a cycle of Fraction pairs as ints (s, t, m): (s/m, t/m)."""
-    m = lcm(*[c.denominator for p in cycle for c in p])
-    s = sum([x.numerator * (m // x.denominator) for x, _ in cycle])
-    t = sum([y.numerator * (m // y.denominator) for _, y in cycle])
+    """The vertex average of a cycle of triples (x, y, w) as ints (s, t, m): (s/m, t/m)."""
+    m = lcm(*[w for _, _, w in cycle])
+    s = sum([x * (m // w) for x, _, w in cycle])
+    t = sum([y * (m // w) for _, y, w in cycle])
     return s, t, m * len(cycle)
 
 
 def _slice_svg(plane: SlicePlane, cells, fills, centroids) -> str:
-    bounds = [Fraction(x) for x in plane.window]
-    wden = lcm(*[x.denominator for x in bounds])
-    s0, s1, t0, t1 = (x.numerator * (wden // x.denominator) for x in bounds)
+    (s0, s1, t0, t1), wden = over_lcd(plane.window)
     size = 600
 
     def px(s, sd, t, td):
@@ -709,10 +695,7 @@ def _slice_svg(plane: SlicePlane, cells, fills, centroids) -> str:
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     for cell, fill in zip(cells, fills):
-        points = " ".join(
-            "{:.3f},{:.3f}".format(*px(x.numerator, x.denominator, y.numerator, y.denominator))
-            for x, y in cell.vertices
-        )
+        points = " ".join("{:.3f},{:.3f}".format(*px(x, w, y, w)) for x, y, w in cell.vertices)
         parts.append(
             f'<polygon points="{points}" fill="{fill}" '
             f'stroke="#333333" stroke-width="1"/>'
@@ -721,9 +704,12 @@ def _slice_svg(plane: SlicePlane, cells, fills, centroids) -> str:
         if cell.label == "-":
             continue
         x, y = px(s, m, t, m)
+        # escaped here: xml.sax.saxutils would import urllib.request (http,
+        # email, ssl) into every start of the CLI
+        text = cell.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{x:.3f}" y="{y:.3f}" font-family="monospace" '
-            f'font-size="14" text-anchor="middle">{cell.label}</text>'
+            f'font-size="14" text-anchor="middle">{text}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -34,7 +34,7 @@ def pair_dim(theta, d) -> Fraction:
 def sign_vector(arr, theta):
     out = []
     for h in arr.hyperplanes:
-        val = value(theta, h.coeffs)
+        val = value(theta, h)
         out.append("+" if val > 0 else "-" if val < 0 else "0")
     return tuple(out)
 

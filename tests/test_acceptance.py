@@ -139,15 +139,15 @@ def test_criterion_3_figure_slice():
             rhs = sum(Fraction(b) * Fraction(q) for b, q in zip(beta, plane.base))
             constraints.append((tuple(beta), "=", rhs))
         theta, _ = generic_relint_point(
-            rs, n, constraints, [h.coeffs for h in arr.hyperplanes]
+            rs, n, constraints, list(arr.hyperplanes)
         )
         assert theta is not None
         expected_zero = {
-            h.coeffs
+            h
             for h in arr.hyperplanes
-            if all(h.coeffs[i] == 0 or i in K for i in rs.vertices)
+            if all(h[i] == 0 or i in K for i in rs.vertices)
         }
-        zeros = {h.coeffs for h in arr.hyperplanes if theta.value(h.coeffs) == 0}
+        zeros = {h for h in arr.hyperplanes if theta.value(h) == 0}
         assert zeros == expected_zero
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

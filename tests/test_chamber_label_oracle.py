@@ -98,8 +98,8 @@ def test_default_slice_labels_match_the_exhaustive_list(type_label, n):
         assert chamber_label(cell.theta, n) == expected
         assert cell.label == (expected[0] if expected else "-")
         labeled += cell.label != "-"
-    for s, t in vertices:
-        theta = make_theta(rs, context, plane.theta_entries(s, t))
+    for x, y, w in vertices:
+        theta = make_theta(rs, context, plane.theta_entries(Fraction(x, w), Fraction(y, w)))
         assert chamber_label(theta, n) == exhaustive_label(theta, n)
     assert labeled  # the plane meets the fundamental cone
 

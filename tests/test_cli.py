@@ -9,6 +9,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +181,19 @@ def test_domain_error_exit_code_and_name(capsys):
     code, _, err = run(capsys, "mckay", "verify", "cyclic:2", "A2")
     assert code == 1
     assert err.startswith("NoIsomorphism")
+
+
+def test_label_names_are_escaped_or_refused(capsys, tmp_path):
+    svg = tmp_path / "slice.svg"
+    argv = ["walls", "slice", "--type", "A2", "-n", "3", "--out", str(svg)]
+    code, out, _ = run(capsys, *argv, "--label", "a<b&c:F:")
+    assert code == 0 and "\ta<b&c\n" in out  # the table keeps the name as given
+    texts = {t.text for t in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")}
+    assert texts == {"a<b&c"}
+    for name in ("", "-", "x\ty", "x\ny", "x\ry", "x\x01"):
+        code, out, err = run(capsys, *argv, f"--label={name}:F:")
+        assert (code, out) == (1, "")
+        assert err.startswith("DocumentError") and err.count("\n") == 1
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path):
@@ -692,12 +706,15 @@ walls_build_argv = st.builds(
 # valid types, ranks and labels most of the time, so that many slices are drawn
 valid_type = st.sampled_from([f"A{r}" for r in range(1, 13)] + [f"D{r}" for r in range(4, 13)]
                              + ["E6", "E7", "E8", "A119", "D32"])
-chamber_label_text = st.builds(
-    "{}:C:{}".format, st.sampled_from(["X", "C+", "-"]),
-    st.lists(st.integers(1, 12), max_size=3).map(lambda vs: ",".join(map(str, vs))),
+# names a cell may carry, and names the CLI refuses ("-", a tab, a line break)
+label_name = st.sampled_from(["X", "C+", "a<b", "&", "a<b&c>", "-", "x\ty", "x\ny", "x\ry", ""])
+chamber_label_text = st.one_of(
+    st.builds("{}:C:{}".format, label_name,
+              st.lists(st.integers(1, 12), max_size=3).map(lambda vs: ",".join(map(str, vs)))),
+    st.builds("{}:F:".format, label_name),  # F holds cells of every default slice
 )
 label_text = st.one_of(
-    st.builds("{}:{}:{}".format, st.sampled_from(["X", "C+", "-", ""]),
+    st.builds("{}:{}:{}".format, label_name,
               st.sampled_from(["C", "F", "sigma", "sigmaKK", "G"]), vertex_set),
     st.builds("W:sigmaKK:{}:{}".format, vertex_set, vertex_set),
     st.text(max_size=4),
@@ -754,3 +771,8 @@ def test_flag_only_commands_exit_cleanly(tmp_path_factory, argv):
     assert time.monotonic() - start < 1.0
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if argv[:2] == ["walls", "slice"] and code == 0:
+        ElementTree.parse(out_path)  # well-formed whatever the label names
+        *rows, summary = out.getvalue().splitlines()
+        assert summary.startswith("cells ")
+        assert all(len(row.split("\t")) == 3 for row in rows)

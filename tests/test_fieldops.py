@@ -1,6 +1,7 @@
 """Contract of the fieldops kernels: reduced ints over F_p, Fractions over Q."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,8 @@ from quiverstab.fieldops import (
     mat_mul,
     mat_vec,
     nullspace,
+    over_lcd,
+    primitive,
     rank,
     rref,
     trace,
@@ -142,3 +145,43 @@ def test_empty_products_are_field_zeros():
     assert all(type(x) is Fraction for x in mat_vec(QQ, ((), ()), ()))
     assert type(trace(QQ, ())) is Fraction and trace(QQ, ()) == 0
     assert trace(PrimeField(3), ()) == 0
+
+
+def _lcd_reference(values):
+    """(nums, den) for the least den > 0 that makes every entry an integer, by search."""
+    fractions = [Fraction(x) for x in values]
+    den = next(d for d in range(1, 2521) if all((x * d).denominator == 1 for x in fractions))
+    return tuple([int(x * den) for x in fractions]), den
+
+
+big = st.integers(-10**20, 10**20)
+rational_entry = st.builds(Fraction, big, st.integers(1, 9))  # every lcd divides 2520
+rational_vector = st.integers(0, 6).flatmap(lambda k: st.one_of(
+    st.lists(big, min_size=k, max_size=k),
+    st.lists(rational_entry, min_size=k, max_size=k),
+    st.lists(big | rational_entry, min_size=k, max_size=k),
+    st.just([0] * k),
+    st.just([Fraction(0)] * k),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_vector)
+def test_over_lcd_and_primitive_match_fraction_references(values):
+    nums, den = over_lcd(values)
+    assert (nums, den) == _lcd_reference(values)
+    assert type(nums) is tuple and type(den) is int
+    assert all(type(x) is int for x in nums)
+    if all(type(x) is int for x in values):
+        assert (nums, den) == (tuple(values), 1)
+
+    # the primitive vector is the content-free int vector on the same ray
+    prim = primitive(values)
+    assert type(prim) is tuple and all(type(x) is int for x in prim)
+    if not any(values):
+        assert prim == (0,) * len(values)
+        return
+    assert gcd(*prim) == 1
+    ratios = {Fraction(x) / y for x, y in zip(values, prim) if y}
+    assert len(ratios) == 1 and min(ratios) > 0
+    assert all(y or x == 0 for x, y in zip(values, prim))

@@ -39,7 +39,7 @@ OPTION_SLICES = {
     "slice A2 n=3 labels": ("A2", 3, "--label", "C+:C:1,2", "--label", "C1:C:1",
                             "--label", "s2:sigma:2", "--label", "F:F:"),
 }
-BUILDS = [("A2", 3), ("A3", 2), ("D4", 2), ("E6", 1), ("E8", 2)]
+BUILDS = [("A2", 3), ("A3", 2), ("D4", 2), ("E6", 1), ("E8", 2), ("A119", 1), ("E8", 20)]
 CONE_CHECKS = [("A2", 3, 3), ("A3", 2, 4), ("D4", 2, 5)]  # (type, n, vertex count)
 MCKAY = [f"cyclic:{m}" for m in range(13, 33)] + [f"bd:{m}" for m in range(8, 31)]
 
@@ -119,6 +119,8 @@ GOLDEN = {
     "build D4 n=2": "42bcbf9d49d4316328a2ae39ec551ce002684aa0837fe73b7faec197ab0e7fd3",
     "build E6 n=1": "671530328da6b5d2b97e4c4e0347ab6e90e8dff20c119c1b1f0f764e391871c6",
     "build E8 n=2": "22560d09770873969316e6b9219be2070f78b0c7f7766fd4c313670dec02d2ae",
+    "build A119 n=1": "962238fad83ab3daf4887de0e1cf55db88bb314b4efba7b713ef29e071c08e06",
+    "build E8 n=20": "40471238c8b65b1bd467f0b073903d7f9cb8982ee7472900e79cf489ee07e2e2",
     "cone A2 n=3": "bc284bb18a1f204bc840b5ab54341cd2b5f89ec1378eba6179e2ef39ebfb0d41",
     "cone A3 n=2": "6c6b1b0bd3278461c7633e4ac40ac890c6c78b93bb4cc0d97058795d33cfe353",
     "cone D4 n=2": "34bf36ceba57462b5ab7ecf34e8d021d5cace53710149a746561d8fcbe0af8b2",

@@ -48,7 +48,7 @@ def cases(draw):
              ConeSpec("sigmaKK", n, K, Kp)]
     entries = draw(st.lists(rational, min_size=len(rs.vertices), max_size=len(rs.vertices)))
     # a wall of the arrangement or a face of one of the cones, or none
-    faces = [h.coeffs for h in arr.hyperplanes]
+    faces = list(arr.hyperplanes)
     faces += [c for cone in cones for c, _ in cone_constraints(rs, cone)]
     face = draw(st.none() | st.sampled_from(faces))
     if face is not None:
@@ -114,8 +114,9 @@ def test_theta_from_nums_is_make_theta_of_the_fractions(label, n, data, den, fac
     context = tuple(n * d for d in rs.delta)
     got = theta_from_nums(rs, context, nums, den)
     want = make_theta(rs, context, [Fraction(x, den) for x in nums])
-    assert got == want
+    assert got == want and hash(got) == hash(want)
     assert (got.nums, got.den) == (want.nums, want.den)
+    assert got.entries == tuple(Fraction(x, den) for x in nums)
     assert all(type(x) is int for x in got.nums) and type(got.den) is int
 
 

@@ -35,8 +35,8 @@ def test_cells_match_sign_vector_and_make_theta(label, n, plane):
     assert result.cells
     for cell in result.cells:
         count = len(cell.vertices)
-        s = sum((x for x, _ in cell.vertices), Fraction(0)) / count
-        t = sum((y for _, y in cell.vertices), Fraction(0)) / count
+        s = sum((Fraction(x, w) for x, _, w in cell.vertices), Fraction(0)) / count
+        t = sum((Fraction(y, w) for _, y, w in cell.vertices), Fraction(0)) / count
         expected = make_theta(rs, context, plane.theta_entries(s, t))
         assert cell.theta == expected
         assert (cell.theta.nums, cell.theta.den) == (expected.nums, expected.den)

@@ -73,7 +73,7 @@ def test_arrangement_cap_counts_walls_before_building(rs_a2, monkeypatch):
 
 def test_arrangement_invariants(rs_a2):
     arr = build_arrangement(rs_a2, 3)
-    coeffs = [h.coeffs for h in arr.hyperplanes]
+    coeffs = list(arr.hyperplanes)
     assert tuple(rs_a2.delta) in coeffs
     for c in coeffs:
         from math import gcd
@@ -89,7 +89,7 @@ def test_arrangement_invariants(rs_a2):
 
 def test_sign_vector_examples(rs_a1):
     arr = build_arrangement(rs_a1, 1)
-    by_normal = dict(zip([h.coeffs for h in arr.hyperplanes], range(len(arr))))
+    by_normal = dict(zip(arr.hyperplanes, range(len(arr))))
     theta = make_theta(rs_a1, (1, 1), (1, 1))
     signs = sign_vector(arr, theta)
     assert signs[by_normal[(1, 1)]] == "+"  # the isotropic wall
@@ -204,15 +204,15 @@ def test_generic_relint_point_zero_set(rs_a2):
             rs_a2,
             n,
             cone_constraints(rs_a2, cone),
-            [h.coeffs for h in arr.hyperplanes],
+            list(arr.hyperplanes),
         )
         zeros = {
-            h.coeffs for h in arr.hyperplanes if theta.value(h.coeffs) == 0
+            h for h in arr.hyperplanes if theta.value(h) == 0
         }
         expected = {
-            h.coeffs
+            h
             for h in arr.hyperplanes
-            if all(h.coeffs[i] == 0 or i in K for i in rs_a2.vertices)
+            if all(h[i] == 0 or i in K for i in rs_a2.vertices)
         }
         assert zeros == expected
         assert set(forced) == expected
@@ -285,9 +285,9 @@ def _zaslavsky_cell_count(arr, plane):
     corners = [(smin, tmin), (smax, tmin), (smax, tmax), (smin, tmax)]
     lines = set()
     for h in arr.hyperplanes:
-        a = sum(c * Fraction(x) for c, x in zip(h.coeffs, plane.d1))
-        b = sum(c * Fraction(x) for c, x in zip(h.coeffs, plane.d2))
-        c0 = sum(c * Fraction(x) for c, x in zip(h.coeffs, plane.base))
+        a = sum(c * Fraction(x) for c, x in zip(h, plane.d1))
+        b = sum(c * Fraction(x) for c, x in zip(h, plane.d2))
+        c0 = sum(c * Fraction(x) for c, x in zip(h, plane.base))
         values = [a * s + b * t + c0 for s, t in corners]
         if min(values) < 0 < max(values):
             lead = a if a != 0 else b
