@@ -9,10 +9,11 @@ homogeneous triple (X, Y, W) for (X/W, Y/W), with W > 0 and gcd 1, so
 equal points have equal triples, and the window test compares int
 products.  The points inside the closed window are ranked once in
 lexicographic order, which along each line is the order of its points read
-forwards or backwards; the edges leaving each vertex are ordered by their
-integer directions, and the faces are traced.  A face is a cell when it
-turns counterclockwise at its lexicographically least vertex, a strict
-corner of every traced face, which one integer 3x3 determinant decides.
+forwards or backwards; the 2L directions of the L lines are ranked once by
+angle, the edges leaving each vertex are ordered by those ranks, and the
+faces are traced.  A face is a cell when it turns counterclockwise at its
+lexicographically least vertex, a strict corner of every traced face,
+which one integer 3x3 determinant decides.
 Euler's formula V - E + F = 2 (the outer face counted) must hold on the
 traced graph, so a tracing fault raises instead of drawing a wrong figure.
 The window is read as int numerators over one common denominator, and
@@ -103,10 +104,20 @@ def arrangement_cells(lines, window):
     # order when b > 0 (a line with b = 0 has a > 0 and runs down it)
     points = sorted(set().union(*on_line), key=cmp_to_key(_lex_cmp))
     index = {p: k for k, p in enumerate(points)}
-    outgoing = [[] for _ in points]  # per vertex: (integer direction, target)
+    # the 2L directions, forward then back per line, ranked once in CCW order;
+    # lines through one vertex differ in direction, so ranks order its edges
+    directions = []
+    for a, b, _ in keys:
+        directions += [(b, -a), (-b, a)] if b > 0 else [(-b, a), (b, -a)]
+    ccw = sorted(range(len(directions)),
+                 key=cmp_to_key(lambda i, j: _direction_cmp(directions[i], directions[j])))
+    angle = [0] * len(directions)
+    for k, i in enumerate(ccw):
+        angle[i] = k
+    outgoing = [[] for _ in points]  # per vertex: (direction rank, target)
     edges = 0
-    for (a, b, _), pts in zip(keys, on_line):
-        forward, back = ((b, -a), (-b, a)) if b > 0 else ((-b, a), (b, -a))
+    for line, pts in enumerate(on_line):
+        forward, back = angle[2 * line], angle[2 * line + 1]
         ordered = sorted([index[p] for p in pts])
         for u, v in zip(ordered, ordered[1:]):
             outgoing[u].append((forward, v))
@@ -114,7 +125,7 @@ def arrangement_cells(lines, window):
             edges += 1
     rank = {}  # (vertex, neighbour) -> position in the CCW order around vertex
     for u, out in enumerate(outgoing):
-        out.sort(key=cmp_to_key(lambda e, f: _direction_cmp(e[0], f[0])))
+        out.sort()
         for k, (_, v) in enumerate(out):
             rank[u, v] = k
 

@@ -7,20 +7,28 @@ generator table, written with ring operations only, gives each group both
 as complex 2x2 matrices and as matrices over F_q.  The group is
 enumerated over F_q, keyed by the residues of its elements.  The left
 action of each generator, recorded once by the enumeration, gives an
-integer Cayley table; conjugacy classes, inverses, power maps and the
-class-sum structure constants come from that table.  Each complex element
-is computed once, as the product along its discovery chain; floats serve
-only the public view of the elements and their order (by ``_key``).
+integer Cayley table; conjugacy classes, power maps and the class-sum
+structure constants come from that table, and each inverse is the
+adjugate of its residue.  Each complex element is computed once, as the
+product along its discovery chain; floats serve only the public view of
+the elements and their order (by ``_key``).
 
 The common eigenvectors of the integer class matrices over F_q are the
 central characters mod q, found by splitting eigenspaces at the roots of
-characteristic polynomials.  The norm equation gives each irrep
-dimension, and each character value is lifted to C through the power
-maps: the multiplicity of every root of unity among the eigenvalues of
-rho(g) is a discrete Fourier transform mod q, read exactly because it
-lies in [0, dim].  The natural character is the trace of each residue,
-and McKay multiplicities are read mod q the same way.  No float
-comparison decides anything but the order of elements and irreps.
+characteristic polynomials, with the classes of highest element order
+tried first.  For t prime to |G|, g -> chi(g^t) is again a character (its
+Galois conjugate), so every eigenline found gives its conjugates through
+the power maps; a simple root takes its eigenline from those, with no
+nullspace.  The norm equation gives each irrep dimension, and each
+character value is lifted to C through the power maps.  A linear
+character takes a root of unity zeta_o^j at g of order o, and j is read
+from a table of discrete logarithms; in higher dimension the multiplicity
+of every root of unity among the eigenvalues of rho(g) is a discrete
+Fourier transform mod q, read exactly because it lies in [0, dim].
+Either way the value is one float sum over the multiplicity vector.  The
+natural character is the trace of each residue, and McKay multiplicities
+are read mod q the same way.  No float comparison decides anything but
+the order of elements and irreps.
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import GroupTooLarge, InvalidRank, NoIsomorphism, RoundingFailure
-from .fieldops import PrimeField, _is_prime, dot, mat_mul, nullspace, rref
-from .rootsys import MAX_GROUP_ORDER, DynkinType, RootSystem
+from .fieldops import PrimeField, _is_prime, dot, mat_mul, nullspace, reduce_against, rref
+from .rootsys import MAX_GROUP_ORDER, DynkinType, RootSystem, parse_int
 
 _KEY_DIGITS = 9
 
@@ -100,7 +109,7 @@ class GroupSpec:
         for prefix, family in (("cyclic:", "cyclic"), ("bd:", "binary_dihedral")):
             if text.lower().startswith(prefix):
                 try:
-                    m = int(text[len(prefix):])
+                    m = parse_int(text[len(prefix):])
                 except ValueError:
                     raise InvalidRank(f"cannot parse group spec {text!r}") from None
                 return cls(family, m)
@@ -178,27 +187,35 @@ def _enumerate_group(spec: GroupSpec, q: int, zeta: int):
     left by every generator s over F_q, recording the left action
     x -> s x and, for each element y it finds, the pair (s, x) with
     y = s x; the complex y is then computed, once, from the complex s and
-    x.  ``mul[i][j]`` is the index of ``elements[i] @ elements[j]``: the
-    row of 1 is 0, 1, 2, ..., and the row of y = s x is the row of x pushed
-    through the action of s, since (s x) z = s (x z).  Returns (elements,
-    residues, mul, inv, one, gens): the inverse of each element, and the
-    indices of 1 and the generators.
+    x.  Residues are flat tuples (a, b, c, d) while the search runs.
+    ``mul[i][j]`` is the index of ``elements[i] @ elements[j]``: the row of
+    1 is 0, 1, 2, ..., and the row of y = s x is the row of x pushed
+    through the action of s, since (s x) z = s (x z).  The inverse of
+    (a, b, c, d), of determinant 1, is its adjugate (d, -b, -c, a).
+    Returns (elements, residues, mul, inv, one, gens): the inverse of each
+    element, and the indices of 1 and the generators.
     """
     order = spec.order()
     complex_gens = _generators(spec)
     residue_gens = [
-        _mod(g, q) for g in _generators(spec, lambda k: pow(zeta, order // k, q), (q + 1) // 2)
+        tuple(v % q for row in g for v in row)
+        for g in _generators(spec, lambda k: pow(zeta, order // k, q), (q + 1) // 2)
     ]
-    one = ((1, 0), (0, 1))
+    one = (1, 0, 0, 1)
     seen = {one: ((complex(1), complex(0)), (complex(0), complex(1)))}  # residue -> complex
     action = [{} for _ in residue_gens]  # x -> s x, one dict per generator
     parent = {}  # y -> (generator position, x) with y = s x
     boundary = [one]
     while boundary and len(seen) <= order:
         fresh = []
-        for t, s in enumerate(residue_gens):
+        for t, (s0, s1, s2, s3) in enumerate(residue_gens):
+            act = action[t]
             for x in boundary:
-                y = action[t][x] = _mod(_mat_mul(s, x), q)
+                x0, x1, x2, x3 = x
+                y = act[x] = (
+                    (s0 * x0 + s1 * x2) % q, (s0 * x1 + s1 * x3) % q,
+                    (s2 * x0 + s3 * x2) % q, (s2 * x1 + s3 * x3) % q,
+                )
                 if y not in seen:
                     seen[y] = _mat_mul(complex_gens[t], seen[x])
                     parent[y] = (t, x)
@@ -209,13 +226,20 @@ def _enumerate_group(spec: GroupSpec, q: int, zeta: int):
     residues = sorted(seen, key=lambda x: _key(seen[x]))
     index = {x: i for i, x in enumerate(residues)}
     left = [[index[act[x]] for x in residues] for act in action]
-    rows = {one: range(order)}
+    rows = {one: tuple(range(order))}
     for y, (t, x) in parent.items():  # in discovery order: x before s x
-        rows[y] = [left[t][z] for z in rows[x]]
-    mul = tuple(tuple(rows[x]) for x in residues)
+        rows[y] = itemgetter(*rows[x])(left[t])
+    mul = tuple([rows[x] for x in residues])
+    inv = tuple([index[d, -b % q, -c % q, a] for a, b, c, d in residues])
     e = index[one]
-    inv = tuple(row.index(e) for row in mul)
-    return [seen[x] for x in residues], residues, mul, inv, e, tuple(act[e] for act in left)
+    return (
+        [seen[x] for x in residues],
+        [((a, b), (c, d)) for a, b, c, d in residues],
+        mul,
+        inv,
+        e,
+        tuple(act[e] for act in left),
+    )
 
 
 # -- exact group tables -------------------------------------------------------
@@ -250,6 +274,7 @@ def _class_structure_constants(mul, classes, class_of):
     """``a[i][j][k]``: the pairs (x, y) in C_i x C_j with x y = z, for z in C_k."""
     r = len(classes)
     sizes = [len(c) for c in classes]
+    shared = [k for k in range(r) if sizes[k] > 1]  # the counts that need dividing
     a = []
     for ca in classes:
         plane = []
@@ -259,12 +284,12 @@ def _class_structure_constants(mul, classes, class_of):
                 row = mul[x]
                 for y in cb:
                     count[class_of[row[y]]] += 1
-            line = []
-            for ck in range(r):
-                if count[ck] % sizes[ck] != 0:
+            for k in shared:
+                n, rest = divmod(count[k], sizes[k])
+                if rest:
                     raise RoundingFailure("class algebra structure constants are inconsistent")
-                line.append(count[ck] // sizes[ck])
-            plane.append(line)
+                count[k] = n
+            plane.append(count)
         a.append(plane)
     return a
 
@@ -310,16 +335,17 @@ def _charpoly(mat, q):
     return minors[n]
 
 
+def _value(f, x, q):
+    """f(x) mod q, for f given by its coefficients from the constant term up."""
+    value = 0
+    for c in reversed(f):
+        value = (value * x + c) % q
+    return value
+
+
 def _roots(f, q):
     """The roots in F_q of f, given by its coefficients from the constant term up."""
-    roots = []
-    for lam in range(q):
-        value = 0
-        for c in reversed(f):
-            value = (value * lam + c) % q
-        if value == 0:
-            roots.append(lam)
-    return roots
+    return [lam for lam in range(q) if _value(f, lam, q) == 0]
 
 
 # -- the character table over F_q ---------------------------------------------
@@ -339,37 +365,73 @@ def _splitting_prime(order):
     return q, next(z for z in zetas if all(pow(z, order // p, q) != 1 for p in primes))
 
 
-def _central_characters(structure, q):
+def _central_characters(structure, q, powers, order):
     """Common eigenvectors (omega_k) of the class matrices over F_q, omega_0 = 1.
 
     The class matrices commute, so every joint eigenspace found so far is
     invariant under the next matrix; its eigenspaces inside the subspace
     come from the matrix restricted to the subspace, whose coordinates in
-    an rref basis are the entries at the pivot columns.
+    an rref basis are the entries at the pivot columns.  The first split
+    is of the whole space, whose matrix is the class matrix itself.
+
+    Classes of higher element order are tried first: their class matrices
+    tend to have more distinct eigenvalues.  For t prime to |G|, the Galois
+    conjugate of a character is g -> chi(g^t), so each eigenline omega
+    found puts its conjugates (omega[perm_t[k]])_k in a pool, perm_t[k]
+    the class of g_k^t.  A simple root lambda takes the pooled eigenline
+    of eigenvalue lambda that lies in the space, with no nullspace.
     """
     field = PrimeField(q)
     r = len(structure)
-    spaces = [rref(field, [[int(i == j) for j in range(r)] for i in range(r)])]
-    for ci in range(1, r):
+    perms = {
+        tuple([seq[t % len(seq)] for seq in powers])
+        for t in range(1, order) if math.gcd(t, order) == 1
+    }
+    pool = {}  # Galois conjugates of the eigenlines found, not yet taken
+    found = set()
+    spaces = [None]  # None is the whole space
+    for ci in sorted(range(1, r), key=lambda k: -len(powers[k])):
         if len(spaces) == r:
             break
         mat = structure[ci]
         split = []
-        for basis, pivots in spaces:
-            if len(basis) == 1:
-                split.append((basis, pivots))
+        for space in spaces:
+            if space is None:
+                restricted = mat
+            elif len(space[0]) == 1:
+                split.append(space)
                 continue
-            restricted = mat_mul(field, [mat[p] for p in pivots], tuple(zip(*basis)))
-            for lam in _roots(_charpoly(restricted, q), q):
+            else:
+                basis, pivots = space
+                restricted = mat_mul(field, [mat[p] for p in pivots], tuple(zip(*basis)))
+            f = _charpoly(restricted, q)
+            df = [k * c for k, c in enumerate(f)][1:]
+            for lam in _roots(f, q):
+                if _value(df, lam, q):  # a simple root: its eigenline may be pooled
+                    w = next((
+                        w for w in pool if w[ci] == lam
+                        and (space is None or not any(reduce_against(field, *space, w)))
+                    ), None)
+                    if w is not None:
+                        del pool[w]
+                        found.add(w)
+                        split.append(((w,), (0,)))
+                        continue
                 shifted = [
                     [(x - lam) % q if u == t else x for t, x in enumerate(row)]
                     for u, row in enumerate(restricted)
                 ]
-                split.append(rref(
-                    field, mat_mul(field, nullspace(field, shifted, len(basis)), basis)
-                ))
+                kernel = nullspace(field, shifted, len(restricted))
+                line = rref(field, kernel if space is None else mat_mul(field, kernel, space[0]))
+                if line[1] == (0,):
+                    found.add(line[0][0])
+                    for perm in perms:
+                        w = tuple([line[0][0][k] for k in perm])
+                        if w not in found:
+                            pool[w] = None
+                split.append(line)
         spaces = split
-    if len(spaces) != r or any(pivots != (0,) for _, pivots in spaces):
+    if len(spaces) != r or any(space is None or space[1] != (0,) for space in spaces):
         raise RoundingFailure(f"the class matrices do not split into {r} eigenlines over F_{q}")
     return [basis[0] for basis, _ in spaces]
 
@@ -391,22 +453,53 @@ def _power_classes(mul, one, classes, class_of):
     return powers
 
 
-def _lift(psi, d, powers, dft, q):
+def _lift(psi, d, powers, tables, q):
     """A character mod q, of dimension d, as complex values on the classes.
 
-    rho(g) has eigenvalues exp(2 pi i j / o) for g of order o; the
-    multiplicity of each is (1/o) sum_t chi(g^t) zeta_o^(-j t), computed mod
-    q, and lies in [0, d] < q, so the residue is the multiplicity itself.
+    rho(g) has eigenvalues exp(2 pi i j / o) for g of order o.  For d = 1,
+    psi(g) = zeta_o^j itself, and j is read from a table of discrete
+    logarithms.  Otherwise the multiplicity of each is
+    (1/o) sum_t chi(g^t) zeta_o^(-j t), computed mod q, and lies in
+    [0, d] < q, so the residue is the multiplicity itself.  Both give the
+    complex value as the same float sum over the multiplicity vector.
     """
     chi = []
     for k, seq in enumerate(powers):
-        twiddles, roots, o_inv = dft[len(seq)]
+        log, lifts, twiddles, roots, o_inv = tables[len(seq)]
+        if d == 1:
+            j = log.get(psi[k])
+            if j is None:
+                raise RoundingFailure("a linear character value is no root of unity")
+            chi.append(lifts[j])
+            continue
         values = [psi[c] for c in seq]
         mult = [dot(row, values) * o_inv % q for row in twiddles]
         if sum(mult) != d:
             raise RoundingFailure("eigenvalue multiplicities do not add up to the dimension")
-        chi.append(sum(m * root for m, root in zip(mult, roots)))
+        chi.append(_combine(mult, roots))
     return chi
+
+
+def _combine(mult, roots):
+    """sum_j mult[j] exp(2 pi i j / o), as one float sum in j order."""
+    return sum(m * root for m, root in zip(mult, roots))
+
+
+def _lift_tables(orders, order, zeta, q):
+    """Per element order o: the discrete logarithm zeta_o^j -> j and the lift
+    of each zeta_o^j, then zeta_o^(-j t), exp(2 pi i j / o) and 1 / o for the
+    transform."""
+    tables = {}
+    for o in orders:
+        z = pow(zeta, order // o, q)
+        zpow = [1]
+        for _ in range(1, o):
+            zpow.append(zpow[-1] * z % q)
+        roots = [cmath.exp(2j * math.pi * j / o) for j in range(o)]
+        lifts = [_combine([int(i == j) for i in range(o)], roots) for j in range(o)]
+        twiddles = [[zpow[-j * t % o] for t in range(o)] for j in range(o)]
+        tables[o] = ({x: j for j, x in enumerate(zpow)}, lifts, twiddles, roots, pow(o, -1, q))
+    return tables
 
 
 def _character_table(residues, mul, inv, one, classes, q, zeta):
@@ -427,29 +520,22 @@ def _character_table(residues, mul, inv, one, classes, q, zeta):
     powers = _power_classes(mul, one, classes, class_of)
     star = [class_of[inv[cls[0]]] for cls in classes]
     size_inv = [pow(s, -1, q) for s in sizes]
-    dft = {}  # element order o -> (zeta_o^(-j t), exp(2 pi i j / o), 1 / o)
-    for o in {len(seq) for seq in powers}:
-        z = pow(zeta, order // o, q)
-        dft[o] = (
-            [[pow(z, -j * t % o, q) for t in range(o)] for j in range(o)],
-            [cmath.exp(2j * math.pi * j / o) for j in range(o)],
-            pow(o, -1, q),
-        )
 
-    irreps = []
     structure = _class_structure_constants(mul, classes, class_of)
-    for omega in _central_characters(structure, q):
+    reduced = []  # (d, psi) per irrep
+    for omega in _central_characters(structure, q, powers, order):
         # norm equation: d^2 = |G| / sum_k omega_k omega_k* / |C_k| mod q; its
         # roots are +-d and only one of them lies in [1, sqrt|G|] < q / 2
-        norm = sum(omega[k] * omega[star[k]] * size_inv[k] for k in range(r)) % q
+        norm = dot([w * s for w, s in zip(omega, size_inv)], [omega[k] for k in star]) % q
         d = next(
             (d for d in range(1, math.isqrt(order) + 1) if d * d * norm % q == order % q),
             None,
         )
         if d is None:
             raise RoundingFailure("the norm equation has no integral dimension")
-        psi = [d * omega[k] * size_inv[k] % q for k in range(r)]
-        irreps.append((d, psi, _lift(psi, d, powers, dft, q)))
+        reduced.append((d, [d * w * s % q for w, s in zip(omega, size_inv)]))
+    tables = _lift_tables({len(seq) for seq in powers}, order, zeta, q)
+    irreps = [(d, psi, _lift(psi, d, powers, tables, q)) for d, psi in reduced]
     irreps.sort(key=lambda ir: (
         not (ir[0] == 1 and all(v == 1 for v in ir[1])),
         ir[0],
@@ -458,16 +544,16 @@ def _character_table(residues, mul, inv, one, classes, q, zeta):
 
     # <chi_i * std, chi_j> mod q, with std the character of the natural rep
     std = [(x[0][0] + x[1][1]) % q for x in (residues[cls[0]] for cls in classes)]
-    weights = [sizes[k] * std[k] * pow(order, -1, q) for k in range(r)]
+    order_inv = pow(order, -1, q)
+    weights = [sizes[k] * std[k] * order_inv % q for k in range(r)]
+    starred = [[psi[k] for k in star] for _, psi, _ in irreps]
     adjacency = []
     for _, psi_i, _ in irreps:
-        row = []
-        for _, psi_j, _ in irreps:
-            s = sum(weights[k] * psi_i[k] * psi_j[star[k]] for k in range(r)) % q
-            if s > 2:
-                raise RoundingFailure("tensor multiplicity is not in {0, 1, 2}")
-            row.append(s)
-        adjacency.append(tuple(row))
+        weighted = [w * x for w, x in zip(weights, psi_i)]
+        row = tuple([dot(weighted, psi_j) % q for psi_j in starred])
+        if any(s > 2 for s in row):
+            raise RoundingFailure("tensor multiplicity is not in {0, 1, 2}")
+        adjacency.append(row)
     table = tuple(tuple(chi[k] for _, _, chi in irreps) for k in range(r))
     return table, tuple(d for d, _, _ in irreps), tuple(adjacency)
 

@@ -18,14 +18,27 @@ from functools import cache
 from .errors import InvalidRank, MismatchedRootSystem
 from . import fieldops
 
-# Largest McKay group order accepted: the order of 2I.  The cost of
-# build_mckay grows about as m^2.7 on cyclic:m (the class structure
-# constants alone hold m^3 ints): cyclic:100 took 1.05 s and 26 MB peak
-# RSS, cyclic:150 3.1 s and 51 MB on a 2-core host.  Dynkin types are
-# capped by the order of their McKay group too.  Building a root system
-# carries one pairing vector per positive root: A119 (7,140 positive roots)
-# takes about 0.12 s there.
+# Largest McKay group order accepted: the order of 2I.  On cyclic:m the
+# class structure constants of build_mckay hold m^3 ints: cyclic:100 takes
+# 0.11 s and 26 MB peak RSS, and cyclic:120, the slowest group under the
+# cap, 0.24 s and 33 MB, on a 2-core host (17 MB of either is the
+# interpreter with quiverstab imported).  Dynkin types are capped by the
+# order of their McKay group too.  Building a root system carries one
+# pairing vector per positive root: A119 (7,140 positive roots) takes
+# about 0.12 s there.
 MAX_GROUP_ORDER = 120
+
+
+def parse_int(text: str) -> int:
+    """The int written by ``text``, an ASCII ``[+-]?[0-9]+``; anything else raises ValueError.
+
+    ``int`` alone also reads "1_0", surrounding spaces and any Unicode
+    digit, such as "٣" or "６"; it still refuses over 4,300 digits.
+    """
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -56,9 +69,7 @@ class DynkinType:
     def parse(cls, text: str) -> "DynkinType":
         text = text.strip()
         try:
-            if len(text) < 2 or not text[1:].isdigit():
-                raise ValueError
-            rank = int(text[1:])  # refuses digits like "²" and over 4300 digits
+            rank = parse_int(text[1:])
         except ValueError:
             raise InvalidRank(f"cannot parse Dynkin type {text!r}") from None
         return cls(text[0].upper(), rank)

@@ -426,6 +426,12 @@ def _fp_doc_with_entry(entry):
          "DocumentError"),
         (["rep", "orbit-sum", "--type", "A1", "--points", "1,2", "--field", "F" + "7" * 5000],
          "DocumentError"),
+        # int() alone reads these as 10, 3, 3, 3 and 6
+        (["mckay", "verify", "cyclic:1_0", "A9"], "InvalidRank"),
+        (["mckay", "verify", "cyclic:\u0663", "A2"], "InvalidRank"),
+        (["mckay", "verify", "bd:\uff13", "D5"], "InvalidRank"),
+        (["rootsys", "show", "A\u0663"], "InvalidRank"),
+        (["rootsys", "show", "E\uff16"], "InvalidRank"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -439,7 +445,8 @@ def _fp_doc_with_entry(entry):
          "rank-over-cap-doc", "rank-superscript-digit", "rank-5000-digits",
          "exponent-theta-entry", "exponent-rep-matrix", "exponent-plane", "build-huge-n",
          "build-a119-n5", "slice-a119-n1", "slice-d32-n1", "field-superscript-digit",
-         "field-5000-digits"],
+         "field-5000-digits", "group-order-underscore", "group-order-arabic-digit",
+         "group-order-fullwidth-digit", "rank-arabic-digit", "rank-fullwidth-digit"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -548,6 +555,15 @@ def test_default_labels_are_found_per_cell(capsys, tmp_path, type_label, cells):
     assert time.monotonic() - start < 1.0
     assert code == 0 and err == ""
     assert out.endswith(f"cells {cells} labeled 1\n")
+
+
+def test_largest_group_verifies_quickly(capsys):
+    # one eigenline per irrep and an o x o transform per character value took 5-6 s
+    start = time.monotonic()
+    code, out, err = run(capsys, "mckay", "verify", "cyclic:120", "A119")
+    assert time.monotonic() - start < 2.0
+    assert code == 0 and err == ""
+    assert "adjacency_ok true\n" in out and "dims_ok true\n" in out
 
 
 def test_huge_n_slice_refusals_are_exact(capsys, tmp_path):
@@ -689,14 +705,13 @@ orbit_sum_argv = st.builds(
     + ([] if n is None else [f"-n{n}"]),
     dynkin_label, st.none() | integer_text, point_list, field_text,
 )
-# Cyclic orders above 48 are not drawn: cyclic:47 and cyclic:60 take about
-# 0.6-0.7 s in a fresh process and cyclic:120 about 6.5 s, most of it splitting
-# one eigenline per irrep, which waits for the Galois-orbit step of the
-# character table.
+# Every cyclic order up to the cap is drawn: cyclic:120, the slowest group,
+# builds in about 0.25 s in-process (see test_largest_group_verifies_quickly).
 group_text = st.one_of(
     st.builds("{}:{}".format, st.sampled_from(["cyclic", "bd"]),
-              st.one_of(st.integers(-1, 48), st.sampled_from([121, 1000]))),
-    st.sampled_from(["2T", "2O", "2I", "2t", " 2i ", "2X", "cyclic:", "bd:x", "cyclic:1.5", ""]),
+              st.one_of(st.integers(-1, 120), st.sampled_from([121, 1000]))),
+    st.sampled_from(["2T", "2O", "2I", "2t", " 2i ", "2X", "cyclic:", "bd:x", "cyclic:1.5", "",
+                     "cyclic:1_0", "cyclic:\u0663", "bd:\uff13", "cyclic: 5"]),
     st.text(max_size=4),
 )
 mckay_verify_argv = st.builds(lambda g, t: ["mckay", "verify", g, t], group_text, dynkin_label)
