@@ -8,13 +8,7 @@ framed preprojective-algebra modules over small prime fields.
 
 from .errors import DomainError
 from .fieldops import PrimeField, QQ, Rationals
-from .rootsys import (
-    DynkinType,
-    RootLatticeVector,
-    RootSystem,
-    build_root_system,
-    pair,
-)
+from .rootsys import DynkinType, RootSystem, build_root_system
 from .mckay import GroupSpec, McKayData, build_mckay, projective_mckay, verify_correspondence
 from .quiverrep import (
     DimVector,
@@ -49,7 +43,6 @@ from .walls import (
     interior_point,
     render_slice,
     sample_interior_points,
-    sign_string,
     sign_vector,
 )
 from .stabcheck import (

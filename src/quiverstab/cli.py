@@ -25,7 +25,7 @@ from .quiverrep import (
     framed_quiver,
     moment_defect,
 )
-from .rootsys import DynkinType, build_root_system
+from .rootsys import DynkinType, build_root_system, parse_int
 from .stability import ConeSpec, cone_membership, craw_wye_theta, make_theta
 from .stabcheck import hn_filtration, stability_report, tangent_dimension
 from .walls import SlicePlane, build_arrangement, figure_plane, render_slice
@@ -51,23 +51,25 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 def _rational(value):
     """``Fraction(value)`` for a document entry or flag, with a bounded exponent.
 
-    A string of ASCII digits with an optional sign is read by ``int``, the
-    same value without the exponent test and ``Fraction``'s parser; every
-    caller coerces the entry, so a plain int serves.  Raises DocumentError
-    for a decimal exponent of magnitude over MAX_EXPONENT; an exponent or
-    integer of over 4,300 digits raises ValueError, which every caller
-    reports as malformed.
+    A string that :func:`parse_int` reads is that int, the same value
+    without the exponent test and ``Fraction``'s parser; every caller
+    coerces the entry, so a plain int serves.  Raises DocumentError for a
+    JSON float or boolean, which is no exact entry, and for a decimal
+    exponent of magnitude over MAX_EXPONENT; an exponent or integer of over
+    4,300 digits raises ValueError, which every caller reports as malformed.
     """
     if isinstance(value, str):
-        digits = value[1:] if value.startswith(("+", "-")) else value
-        # isdigit alone would accept "²" and "١٢" too; isascii keeps it to 0-9
-        if digits.isascii() and digits.isdigit():
-            return int(value)
+        try:
+            return parse_int(value)
+        except ValueError:
+            pass
         match = _EXPONENT.search(value)
         if match and abs(int(match.group(1))) > MAX_EXPONENT:
             raise DocumentError(
                 f"a rational literal has a decimal exponent beyond {MAX_EXPONENT} in magnitude"
             )
+    elif isinstance(value, (bool, float)):
+        raise DocumentError(f"entry {value!r} is not a rational string or an integer")
     return Fraction(value)
 
 
@@ -86,7 +88,7 @@ def theta_to_doc(theta) -> dict:
 def theta_from_doc(doc: dict):
     try:
         rs = build_root_system(DynkinType.parse(doc["type"]))
-        n = int(doc["n"])
+        n = parse_int(doc["n"])
         entries = [_rational(doc["entries"][str(i)]) for i in rs.vertices]
     except _MALFORMED as exc:
         raise DocumentError(f"malformed stability document: {exc}") from None
@@ -118,19 +120,17 @@ def rep_from_doc(doc: dict) -> FramedRep:
         if doc["field"] == "Q":
             field = QQ
         elif doc["field"] == "Fp":
-            field = PrimeField(int(doc["p"]))
+            field = PrimeField(parse_int(doc["p"]))
         else:
             raise DocumentError(f"unknown field tag {doc['field']!r}")
         dims = DimVector(
-            int(doc["dims"]["inf"]),
-            tuple(int(doc["dims"][str(i)]) for i in rs.vertices),
+            parse_int(doc["dims"]["inf"]),
+            tuple(parse_int(doc["dims"][str(i)]) for i in rs.vertices),
         )
         matrices = {
             label: [[_rational(x) for x in row] for row in mat]
             for label, mat in doc.get("matrices", {}).items()
         }
-    except DocumentError:
-        raise
     except _MALFORMED as exc:
         raise DocumentError(f"malformed representation document: {exc}") from None
     return FramedRep(framed_quiver(rs), field, dims, matrices)
@@ -167,7 +167,7 @@ def _parse_vertex_set(text: str) -> frozenset:
     if not text:
         return frozenset()
     try:
-        return frozenset(int(x) for x in text.split(","))
+        return frozenset(parse_int(x.strip()) for x in text.split(","))
     except ValueError:
         raise DocumentError(f"bad vertex list {text!r}") from None
 
@@ -177,12 +177,19 @@ def _parse_field(tag: str):
     if tag == "Q":
         return QQ
     try:
-        if not (tag.startswith("F") and tag[1:].isdigit()):
+        if not (tag.startswith("F") and tag[1:].isdigit()):  # no sign
             raise ValueError
-        p = int(tag[1:])  # refuses digits like "²" and over 4300 digits
+        p = parse_int(tag[1:])  # refuses digits like "٣" and over 4300 digits
     except ValueError:
         raise DocumentError(f"unknown field {tag!r} (use Q or F<p>)") from None
     return PrimeField(p)
+
+
+def _int_flag(text: str) -> int:
+    return parse_int(text)
+
+
+_int_flag.__name__ = "int"  # argparse's usage error names the type: "invalid int value"
 
 
 def _parse_fractions(text: str):
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     theta_sub = p_theta.add_subparsers(dest="cmd", required=True)
     p = theta_sub.add_parser("craw-wye", help="explicit chamber representative")
     p.add_argument("--type", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_flag, required=True)
     p.add_argument("--J", required=True, help="comma list of vertices, must contain 0")
     p.add_argument("--out", help="also write a theta JSON document")
     p.set_defaults(func=_cmd_theta_craw_wye)
@@ -447,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     walls_sub = p_walls.add_subparsers(dest="cmd", required=True)
     p = walls_sub.add_parser("build", help="enumerate the wall normals")
     p.add_argument("--type", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_flag, required=True)
     p.set_defaults(func=_cmd_walls_build)
     p = walls_sub.add_parser("slice", help="render a transversal slice")
     p.add_argument("--type", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_flag, required=True)
     p.add_argument(
         "--plane",
         help="base=..;d1=..;d2=..[;window=smin,smax,tmin,tmax] with rational entries",
@@ -472,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rep_check)
     p = rep_sub.add_parser("orbit-sum", help="module of functions on free orbits")
     p.add_argument("--type", required=True)
-    p.add_argument("-n", type=int, help="expected orbit count (checked against points)")
+    p.add_argument("-n", type=_int_flag, help="expected orbit count (checked against points)")
     p.add_argument("--points", required=True, help="x1,y1;x2,y2;...")
     p.add_argument("--field", default="Q", help="Q or F<p>")
     p.add_argument("--out", help="rep JSON output path (default: stdout)")

@@ -197,11 +197,6 @@ def mat_vec(field, a, v):
     return field.reduce([dot(row, v) or field.zero for row in a])
 
 
-def trace(field, a):
-    """The diagonal of ``a`` paired with the all-ones vector."""
-    return mat_vec(field, [[row[i] for i, row in enumerate(a)]], [1] * len(a))[0]
-
-
 def leading_index(row):
     """Column of the first nonzero entry of a reduced ``row``, or None for a zero row."""
     return next((j for j, x in enumerate(row) if x), None)

@@ -132,10 +132,6 @@ def _mat_mul(x, y):
     )
 
 
-def _mod(x, q):
-    return tuple(tuple(v % q for v in row) for row in x)
-
-
 def _key(x):
     """The sort key of a complex element: its entries rounded to nine digits."""
     (a, b), (c, d) = x

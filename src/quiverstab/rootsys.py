@@ -12,10 +12,9 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
-from .errors import InvalidRank, MismatchedRootSystem
+from .errors import InvalidRank
 from . import fieldops
 
 # Largest McKay group order accepted: the order of 2I.  On cyclic:m the
@@ -29,16 +28,20 @@ from . import fieldops
 MAX_GROUP_ORDER = 120
 
 
-def parse_int(text: str) -> int:
-    """The int written by ``text``, an ASCII ``[+-]?[0-9]+``; anything else raises ValueError.
+def parse_int(value) -> int:
+    """An exact int as it is, or the int an ASCII ``[+-]?[0-9]+`` string writes.
 
-    ``int`` alone also reads "1_0", surrounding spaces and any Unicode
-    digit, such as "٣" or "６"; it still refuses over 4,300 digits.
+    Anything else raises ValueError: a bool, a float, or text that ``int``
+    alone would read, such as "1_0", surrounding spaces and any Unicode
+    digit ("٣", "６").  Over 4,300 digits still raise, as ``int`` does.
     """
-    digits = text[1:] if text.startswith(("+", "-")) else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    if isinstance(value, str):
+        digits = value[1:] if value.startswith(("+", "-")) else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    elif type(value) is int:
+        return value
+    raise ValueError(f"not an integer: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,18 +134,6 @@ class RootSystem:
         return out
 
 
-@dataclass(frozen=True)
-class RootLatticeVector:
-    """An integer vector over the affine vertex set, e.g. m*delta + alpha."""
-
-    rs: RootSystem
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.rs.vertices):
-            raise MismatchedRootSystem("coefficient length != vertex count")
-
-
 def _simple_reflection_closure(cartan, rank: int):
     """Close the simple roots under raising simple reflections.
 
@@ -218,31 +209,9 @@ def build_root_system(dynkin: DynkinType) -> RootSystem:
     )
 
 
-def delta_vector(rs: RootSystem) -> RootLatticeVector:
-    return RootLatticeVector(rs, rs.delta)
-
-
-def embed_finite_root(rs: RootSystem, root) -> RootLatticeVector:
-    """Lift a finite-root coefficient tuple over 1..rank to the affine basis."""
-    if len(root) != rs.rank:
-        raise MismatchedRootSystem("finite root has wrong length")
-    return RootLatticeVector(rs, (0,) + tuple(root))
-
-
-def m_delta_plus_root(rs: RootSystem, m: int, root, sign: int) -> RootLatticeVector:
-    """The lattice vector m*delta + sign*alpha for a finite root alpha."""
+def m_delta_plus_root(rs: RootSystem, m: int, root, sign: int) -> tuple:
+    """The lattice vector m*delta + sign*alpha for a finite root alpha, as ints."""
     coeffs = [m * d for d in rs.delta]
     for i, c in enumerate(root):
         coeffs[i + 1] += sign * c
-    return RootLatticeVector(rs, tuple(coeffs))
-
-
-def pair(theta, beta: RootLatticeVector) -> Fraction:
-    """Pairing of a stability vector with a root-lattice vector.
-
-    Returns sum_i coeffs[i] * theta[i] over the affine vertex set; the
-    derived entry of theta at the framing vertex never enters.
-    """
-    if theta.rs != beta.rs:
-        raise MismatchedRootSystem("stability vector and root disagree on type")
-    return theta.value(beta.coeffs)
+    return tuple(coeffs)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .errors import BadSubset, ContextMismatch, IndexMismatch
+from .errors import BadSubset, ContextMismatch, IndexMismatch, MismatchedRootSystem
 from .fieldops import dot, over_lcd, signs
 from .quiverrep import DimVector
 from .rootsys import RootSystem
@@ -49,11 +49,13 @@ class StabilityVector:
         return Fraction(-dot(self.context, self.nums), self.den)
 
     def value(self, coeffs) -> Fraction:
-        """Pairing with an integer coefficient vector over the affine vertices."""
-        return Fraction(dot(coeffs, self.nums), self.den)
+        """Pairing with an integer root-lattice vector over the affine vertices.
 
-    def delta_value(self) -> Fraction:
-        return self.value(self.rs.delta)
+        The framing entry never enters; ``value(rs.delta)`` is theta(delta).
+        """
+        if len(coeffs) != len(self.nums):
+            raise MismatchedRootSystem("coefficient length != vertex count")
+        return Fraction(dot(coeffs, self.nums), self.den)
 
 
 def make_theta(rs: RootSystem, v, entries) -> StabilityVector:

@@ -94,10 +94,6 @@ def sign_vector(arr: Arrangement, theta: StabilityVector):
     return tuple("0+-"[s] for s in signs(arr.hyperplanes, theta.nums))
 
 
-def sign_string(signs) -> str:
-    return "".join(signs)
-
-
 # -- exact Fourier-Motzkin ----------------------------------------------------
 
 def _normalize(coeffs, rel, rhs):
@@ -395,14 +391,6 @@ class SlicePlane:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", (nums[:a], nums[a:b], nums[b:]))
 
-    def theta_entries(self, s: Fraction, t: Fraction):
-        """The entries at the point (s, t) of the plane."""
-        (s, t), m = over_lcd((s, t))
-        den = self.den * m
-        return tuple([
-            Fraction(b * m + x * s + y * t, den) for b, x, y in zip(*self.nums)
-        ])
-
 
 def figure_plane(rs: RootSystem) -> SlicePlane:
     """The standard simplex slice through the fundamental cone.
@@ -508,7 +496,7 @@ def _check_slice(rs: RootSystem, n: int, plane: SlicePlane):
             off_plane += len(span)
             inside = _roots(sign * root[2], step[2], span)
             if inside:
-                containing.append(m_delta_plus_root(rs, inside[0], alpha, sign).coeffs)
+                containing.append(m_delta_plus_root(rs, inside[0], alpha, sign))
     if containing:
         raise DegeneratePlane(f"wall {min(containing)} contains the whole slice plane")
     count = 1 + (2 * n - 1) * len(rs.positive_roots) - off_plane
@@ -659,7 +647,7 @@ def render_slice(rs: RootSystem, n: int, plane: SlicePlane, labels=None) -> Slic
     table_lines = ["cell\tsigns\tlabel"]
     for cell in cells:
         table_lines.append(
-            f"{cell.cell_id}\t{sign_string(cell.signs)}\t{cell.label}"
+            f"{cell.cell_id}\t{''.join(cell.signs)}\t{cell.label}"
         )
     table = "\n".join(table_lines) + "\n"
 

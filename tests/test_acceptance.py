@@ -28,7 +28,6 @@ from quiverstab import (
     pair_dim,
     render_slice,
     sign_vector,
-    sign_string,
     stability_report,
     tangent_dimension,
     framed_orbit_sum,
@@ -190,7 +189,7 @@ def test_criterion_5_n1_chambers_coincide():
             assert len(points) == 10
             per_k += 1
             for theta in points:
-                strings.add(sign_string(sign_vector(arr, theta)))
+                strings.add("".join(sign_vector(arr, theta)))
         assert len(strings) == 1, label
     print(
         "PASS criterion 5: n=1 chambers coincide (A1-A3, 10 interior points "

@@ -1,0 +1,33 @@
+"""The names the traced benchmark binds still exist and restore cleanly.
+
+``bench/tracing.py`` wraps about twenty layer functions by attribute, so
+deleting or renaming one of them (``walls.sign_vector``,
+``stabcheck.spin``, ``cli.rep_from_doc``, ...) breaks every ``--trace 1``
+run.  This builds the layer tracer, runs one traced command, and checks
+that uninstalling puts every original object back.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import tracing  # noqa: E402
+
+from quiverstab import cli  # noqa: E402
+
+
+def test_layer_tracer_wraps_and_restores_every_layer(tmp_path, capsys):
+    tracer = tracing.layer_tracer()
+    assert tracer.patches
+    tracer.install()
+    try:
+        code = cli.main(["walls", "slice", "--type", "A1", "-n", "1",
+                         "--out", str(tmp_path / "slice.svg")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert {"walls.render_slice", "geom2d.arrangement_cells"} <= set(tracer.layers)
+    for owner, attr, original, _ in tracer.patches:
+        assert getattr(owner, attr) is original, (owner, attr)

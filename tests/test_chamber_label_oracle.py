@@ -99,7 +99,9 @@ def test_default_slice_labels_match_the_exhaustive_list(type_label, n):
         assert cell.label == (expected[0] if expected else "-")
         labeled += cell.label != "-"
     for x, y, w in vertices:
-        theta = make_theta(rs, context, plane.theta_entries(Fraction(x, w), Fraction(y, w)))
+        s, t = Fraction(x, w), Fraction(y, w)
+        entries = [b + s * u + t * v for b, u, v in zip(plane.base, plane.d1, plane.d2)]
+        theta = make_theta(rs, context, entries)
         assert chamber_label(theta, n) == exhaustive_label(theta, n)
     assert labeled  # the plane meets the fundamental cone
 

@@ -229,6 +229,22 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "craw-wye", "--type", "A2", "-n", "\u0662", "--J", "0"],
+    ["theta", "craw-wye", "--type", "A2", "-n", "1_0", "--J", "0"],
+    ["walls", "build", "--type", "A2", "-n", "\u0663"],
+    ["walls", "slice", "--type", "A2", "-n", " 1", "--out", "x.svg"],
+    ["rep", "orbit-sum", "--type", "A1", "-n", "1.0", "--points", "1,0"],
+])
+def test_n_flags_read_ascii_digits_only(capsys, argv):
+    # int() alone reads these as 2, 10, 3, 1 and refuses only the last
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"invalid int value: {argv[argv.index('-n') + 1]!r}\n")
+
+
 # per command, one argv that parses; the flags come last so dropping the
 # final pair leaves a required one out
 LEAF_ARGV = {
@@ -432,6 +448,19 @@ def _fp_doc_with_entry(entry):
         (["mckay", "verify", "bd:\uff13", "D5"], "InvalidRank"),
         (["rootsys", "show", "A\u0663"], "InvalidRank"),
         (["rootsys", "show", "E\uff16"], "InvalidRank"),
+        # int() alone reads these as 2, 1, 3, 1 and 3, and Fraction the entries exactly
+        (["cone", "check", "--theta", "{float_n}", "--cone", "F"], "DocumentError"),
+        (["cone", "check", "--theta", "{bool_n}", "--cone", "F"], "DocumentError"),
+        (["rep", "check", "--rep", "{float_p}"], "DocumentError"),
+        (["rep", "check", "--rep", "{float_dims}"], "DocumentError"),
+        (["rep", "check", "--rep", "{arabic_dims}"], "DocumentError"),
+        (["cone", "check", "--theta", "{theta}", "--cone", "C", "--K", "\u0661"],
+         "DocumentError"),
+        (["rep", "orbit-sum", "--type", "A1", "--points", "1,2", "--field", "F\u0663"],
+         "DocumentError"),
+        (["cone", "check", "--theta", "{float_entry}", "--cone", "F"], "DocumentError"),
+        (["cone", "check", "--theta", "{bool_entry}", "--cone", "F"], "DocumentError"),
+        (["rep", "check", "--rep", "{float_entry_rep}"], "DocumentError"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -446,7 +475,10 @@ def _fp_doc_with_entry(entry):
          "exponent-theta-entry", "exponent-rep-matrix", "exponent-plane", "build-huge-n",
          "build-a119-n5", "slice-a119-n1", "slice-d32-n1", "field-superscript-digit",
          "field-5000-digits", "group-order-underscore", "group-order-arabic-digit",
-         "group-order-fullwidth-digit", "rank-arabic-digit", "rank-fullwidth-digit"],
+         "group-order-fullwidth-digit", "rank-arabic-digit", "rank-fullwidth-digit",
+         "float-n", "bool-n", "float-p", "float-dims", "arabic-digit-dims",
+         "arabic-digit-vertex", "field-arabic-digit", "float-entry", "bool-entry",
+         "float-entry-rep"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -464,6 +496,14 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
         # Fraction would expand these exponents into ten-million-digit integers
         "huge_exponent_theta": {"type": "A1", "n": 1, "entries": {"0": "1e9999999", "1": "1"}},
         "tiny_exponent_rep": _fp_doc_with_entry("1e-9999999"),
+        "float_n": {"type": "A1", "n": 2.7, "entries": {"0": "1", "1": "1"}},
+        "bool_n": {"type": "A1", "n": True, "entries": {"0": "1", "1": "1"}},
+        "float_p": {**_fp_doc_with_entry("1"), "p": 3.9},
+        "float_dims": {**_fp_doc_with_entry("1"), "dims": {"inf": 1.5, "0": 1, "1": 1}},
+        "arabic_dims": {**_fp_doc_with_entry("1"), "dims": {"inf": 1, "0": 1, "1": "\u0663"}},
+        "float_entry": {"type": "A2", "n": 1, "entries": {"0": 0.1, "1": "1", "2": "1"}},
+        "bool_entry": {"type": "A2", "n": 1, "entries": {"0": "1", "1": True, "2": "1"}},
+        "float_entry_rep": _fp_doc_with_entry(0.5),
     }
     paths = {"svg": tmp_path / "x.svg", "nowhere": tmp_path / "missing"}
     for name, doc in docs.items():

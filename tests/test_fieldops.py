@@ -18,7 +18,6 @@ from quiverstab.fieldops import (
     primitive,
     rank,
     rref,
-    trace,
 )
 
 
@@ -108,7 +107,6 @@ def test_rational_kernels_return_fractions(case):
         mat_mul(QQ, rows, tuple(zip(*rows))),
         mat_mul(QQ, tuple(zip(*rows)), rows),
         mat_vec(QQ, rows, (Fraction(1, 2),) * n),
-        trace(QQ, square),
     ]
     for x in _entries(tuple(results)):
         assert type(x) is Fraction
@@ -143,8 +141,6 @@ def test_empty_products_are_field_zeros():
     assert mat_mul(QQ, ((), ()), ()) == ((), ())
     assert mat_vec(QQ, ((), ()), ()) == (Fraction(0), Fraction(0))
     assert all(type(x) is Fraction for x in mat_vec(QQ, ((), ()), ()))
-    assert type(trace(QQ, ())) is Fraction and trace(QQ, ()) == 0
-    assert trace(PrimeField(3), ()) == 0
 
 
 def _lcd_reference(values):

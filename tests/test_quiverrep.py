@@ -30,7 +30,7 @@ from quiverstab.errors import (
     UnsupportedField,
     UnsupportedType,
 )
-from quiverstab.fieldops import PrimeField, QQ, trace
+from quiverstab.fieldops import PrimeField, QQ
 
 
 def test_quiver_arrow_counts(rs_a1, rs_a2, rs_d4):
@@ -183,19 +183,11 @@ def test_trace_identity(rs_a1, rs_a2):
         for _ in range(12):
             rep = _random_rep(rs, rng, QQ, r=1)
             defect = moment_defect(rep)
-            total = sum(trace(QQ, defect[i]) for i in rs.vertices)
-            b_star_b = trace(
-                QQ,
-                [
-                    [
-                        sum(
-                            rep.matrix("b*")[r][k] * rep.matrix("b")[k][c]
-                            for k in range(rep.dims.v[0])
-                        )
-                        for c in range(rep.dims.r)
-                    ]
-                    for r in range(rep.dims.r)
-                ],
+            total = sum(row[k] for i in rs.vertices for k, row in enumerate(defect[i]))
+            b_star_b = sum(
+                rep.matrix("b*")[r][k] * rep.matrix("b")[k][r]
+                for r in range(rep.dims.r)
+                for k in range(rep.dims.v[0])
             )
             assert total == b_star_b
 

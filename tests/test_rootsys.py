@@ -13,15 +13,10 @@ from hypothesis import given, strategies as st
 
 import quiverstab
 import reference_rootsys
-from quiverstab import DynkinType, build_root_system, make_theta, pair
+from quiverstab import DynkinType, build_root_system, make_theta
 from quiverstab.errors import InvalidRank, MismatchedRootSystem
 from quiverstab.mckay import GroupSpec
-from quiverstab.rootsys import (
-    MAX_GROUP_ORDER,
-    RootLatticeVector,
-    delta_vector,
-    embed_finite_root,
-)
+from quiverstab.rootsys import MAX_GROUP_ORDER
 
 # (family, rank) -> (positive root count, delta in Bourbaki order with vertex 0 first)
 CLASSICAL = {
@@ -159,16 +154,17 @@ def test_parse_labels():
 
 def test_pair_examples(rs_a2):
     theta = make_theta(rs_a2, (3, 3, 3), (-7, 9, 1))
-    assert pair(theta, delta_vector(rs_a2)) == 3
-    assert pair(theta, RootLatticeVector(rs_a2, (0, 0, 0))) == 0
+    assert theta.value(rs_a2.delta) == 3
+    assert theta.value((0, 0, 0)) == 0
     for i, root in ((1, (1, 0)), (2, (0, 1))):
-        assert pair(theta, embed_finite_root(rs_a2, root)) == theta.entries[i]
+        assert theta.value((0, *root)) == theta.entries[i]
 
 
 def test_pair_mismatch(rs_a1, rs_a2):
     theta = make_theta(rs_a1, (1, 1), (1, 1))
-    with pytest.raises(MismatchedRootSystem):
-        pair(theta, delta_vector(rs_a2))
+    for coeffs in (rs_a2.delta, (1,)):
+        with pytest.raises(MismatchedRootSystem):
+            theta.value(coeffs)
 
 
 @given(
@@ -180,12 +176,8 @@ def test_pair_mismatch(rs_a1, rs_a2):
 def test_pair_is_bilinear(c1, c2, coeffs, other):
     rs = build_root_system(DynkinType("A", 2))
     theta = make_theta(rs, rs.delta, (Fraction(3, 7), Fraction(-2), Fraction(5, 3)))
-    beta = RootLatticeVector(rs, tuple(coeffs))
-    gamma = RootLatticeVector(rs, tuple(other))
-    combo = RootLatticeVector(
-        rs, tuple(c1 * a + c2 * b for a, b in zip(coeffs, other))
-    )
-    assert pair(theta, combo) == c1 * pair(theta, beta) + c2 * pair(theta, gamma)
+    combo = tuple(c1 * a + c2 * b for a, b in zip(coeffs, other))
+    assert theta.value(combo) == c1 * theta.value(coeffs) + c2 * theta.value(other)
 
 
 def test_pair_linear_in_theta(rs_a3):
@@ -193,10 +185,8 @@ def test_pair_linear_in_theta(rs_a3):
     for _ in range(25):
         e1 = [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in rs_a3.vertices]
         e2 = [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in rs_a3.vertices]
-        beta = RootLatticeVector(
-            rs_a3, tuple(rng.randint(-4, 4) for _ in rs_a3.vertices)
-        )
+        beta = tuple(rng.randint(-4, 4) for _ in rs_a3.vertices)
         t1 = make_theta(rs_a3, rs_a3.delta, e1)
         t2 = make_theta(rs_a3, rs_a3.delta, e2)
         t_sum = make_theta(rs_a3, rs_a3.delta, [a + b for a, b in zip(e1, e2)])
-        assert pair(t_sum, beta) == pair(t1, beta) + pair(t2, beta)
+        assert t_sum.value(beta) == t1.value(beta) + t2.value(beta)

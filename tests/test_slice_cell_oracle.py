@@ -3,8 +3,8 @@
 ``render_slice`` builds each cell's theta and signs from integer points
 and lines.  Every cell of the default slices of A1-A8 (n = 1, 2) and of
 the two explicit planes of the chambers benchmark must carry the theta
-that ``make_theta`` builds from ``plane.theta_entries`` at the vertex
-average of the cell, with the same numerators and denominator, and the
+that ``make_theta`` builds from the plane's rational base + s*d1 + t*d2
+at the vertex average (s, t) of the cell, with the same numerators and denominator, and the
 signs that ``sign_vector`` gives at that theta.
 """
 
@@ -37,7 +37,8 @@ def test_cells_match_sign_vector_and_make_theta(label, n, plane):
         count = len(cell.vertices)
         s = sum((Fraction(x, w) for x, _, w in cell.vertices), Fraction(0)) / count
         t = sum((Fraction(y, w) for _, y, w in cell.vertices), Fraction(0)) / count
-        expected = make_theta(rs, context, plane.theta_entries(s, t))
+        entries = [b + s * x + t * y for b, x, y in zip(plane.base, plane.d1, plane.d2)]
+        expected = make_theta(rs, context, entries)
         assert cell.theta == expected
         assert (cell.theta.nums, cell.theta.den) == (expected.nums, expected.den)
         assert cell.signs == sign_vector(result.arrangement, cell.theta)

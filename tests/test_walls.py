@@ -15,7 +15,6 @@ from quiverstab import (
     figure_plane,
     make_theta,
     render_slice,
-    sign_string,
     sign_vector,
 )
 from quiverstab.cli import main
@@ -170,7 +169,7 @@ def test_n1_chambers_coincide():
             for theta in sample_interior_points(
                 rs, 1, cone_constraints(rs, cone), count=10, seed=5
             ):
-                vectors.add(sign_string(sign_vector(arr, theta)))
+                vectors.add("".join(sign_vector(arr, theta)))
         assert len(vectors) == 1
 
 
@@ -225,7 +224,7 @@ def test_generic_relint_point_finds_an_implicit_equality(rs_a2):
     theta, forced = generic_relint_point(rs_a2, 2, system, avoid)
     assert forced == ((0, 1, 0),)
     assert all(theta.value(c) != 0 for c in avoid[1:])
-    assert theta.entries[1] == 0 and theta.delta_value() > 0
+    assert theta.entries[1] == 0 and theta.value(rs_a2.delta) > 0
 
 
 def test_generic_relint_point_infeasible_and_unconstrained(rs_a2):
@@ -327,6 +326,7 @@ def test_default_slice_from_rank_three(capsys, tmp_path, type_label, n):
     assert len(cells) == _zaslavsky_cell_count(build_arrangement(rs, n), plane)
     # the plane crosses the interior of the fundamental cone
     quarter = Fraction(1, 4)
-    inside = make_theta(rs, tuple(n * d for d in rs.delta), plane.theta_entries(quarter, quarter))
+    entries = [b + quarter * (x + y) for b, x, y in zip(plane.base, plane.d1, plane.d2)]
+    inside = make_theta(rs, tuple(n * d for d in rs.delta), entries)
     assert cone_membership(inside, ConeSpec(kind="F", n=n))
-    assert all(x > 0 for x in inside.entries[1:]) and inside.delta_value() > 0
+    assert all(x > 0 for x in inside.entries[1:]) and inside.value(rs.delta) > 0
