@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .errors import DomainError
+from .errors import ContextMismatch, DomainError
 from .fieldops import PrimeField, QQ
 from .mckay import GroupSpec, build_mckay, verify_correspondence
 from .quiverrep import (
@@ -75,6 +75,10 @@ def _rational(value):
 
 # -- documents ----------------------------------------------------------------
 
+def _rs_of(type_text: str):
+    return build_root_system(DynkinType.parse(type_text))
+
+
 def theta_to_doc(theta) -> dict:
     rs = theta.rs
     n = theta.context[0]  # delta[0] == 1, so the context determines n directly
@@ -87,7 +91,7 @@ def theta_to_doc(theta) -> dict:
 
 def theta_from_doc(doc: dict):
     try:
-        rs = build_root_system(DynkinType.parse(doc["type"]))
+        rs = _rs_of(doc["type"])
         n = parse_int(doc["n"])
         entries = [_rational(doc["entries"][str(i)]) for i in rs.vertices]
     except _MALFORMED as exc:
@@ -95,10 +99,8 @@ def theta_from_doc(doc: dict):
     return make_theta(rs, tuple(n * d for d in rs.delta), entries)
 
 
-def rep_to_doc(rep: FramedRep, n: int | None = None) -> dict:
+def rep_to_doc(rep: FramedRep, n: int) -> dict:
     rs = rep.quiver.rs
-    if n is None:
-        n = max(rep.dims.v, default=0)
     doc = {
         "type": rs.dynkin.label(),
         "n": n,
@@ -116,7 +118,8 @@ def rep_to_doc(rep: FramedRep, n: int | None = None) -> dict:
 
 def rep_from_doc(doc: dict) -> FramedRep:
     try:
-        rs = build_root_system(DynkinType.parse(doc["type"]))
+        rs = _rs_of(doc["type"])
+        parse_int(doc["n"])  # checked only: the dims give the module's size
         if doc["field"] == "Q":
             field = QQ
         elif doc["field"] == "Fp":
@@ -127,10 +130,12 @@ def rep_from_doc(doc: dict) -> FramedRep:
             parse_int(doc["dims"]["inf"]),
             tuple(parse_int(doc["dims"][str(i)]) for i in rs.vertices),
         )
-        matrices = {
-            label: [[_rational(x) for x in row] for row in mat]
-            for label, mat in doc.get("matrices", {}).items()
-        }
+        matrices = {}
+        for label, mat in doc.get("matrices", {}).items():
+            # a string or dict would otherwise be read entry by entry
+            if not (isinstance(mat, list) and all(isinstance(row, list) for row in mat)):
+                raise DocumentError(f"matrix {label!r} is not a JSON list of rows")
+            matrices[label] = [[_rational(x) for x in row] for row in mat]
     except _MALFORMED as exc:
         raise DocumentError(f"malformed representation document: {exc}") from None
     return FramedRep(framed_quiver(rs), field, dims, matrices)
@@ -252,10 +257,6 @@ def _parse_label(text: str, n: int):
     return name, ConeSpec(kind=kind, n=n, K=K, Kp=Kp)
 
 
-def _rs_of(type_text: str):
-    return build_root_system(DynkinType.parse(type_text))
-
-
 # -- subcommand bodies ---------------------------------------------------------
 
 def _cmd_rootsys_show(args) -> int:
@@ -366,9 +367,25 @@ def _cmd_rep_orbit_sum(args) -> int:
     return 0
 
 
-def _cmd_stab_report(args) -> int:
+def _rep_and_theta(args):
+    """The --rep and --theta documents, refused unless theta fits the representation.
+
+    Theta fits when it is for the representation's type and its dimension
+    vector is (1, n * delta) for theta's n.  The engines pair any theta of
+    the right length with the lattice, but such a verdict says nothing.
+    """
     rep = rep_from_doc(_load_json(args.rep))
     theta = theta_from_doc(_load_json(args.theta))
+    if theta.rs != rep.quiver.rs or rep.dims.key() != (1,) + theta.context:
+        raise ContextMismatch(
+            f"theta of type {theta.rs.dynkin.label()} with n = {theta.context[0]} does not fit "
+            f"the {rep.quiver.rs.dynkin.label()} representation of dimension {rep.dims.key()}"
+        )
+    return rep, theta
+
+
+def _cmd_stab_report(args) -> int:
+    rep, theta = _rep_and_theta(args)
     report = stability_report(rep, theta)
     print(f"semistable {str(report.semistable).lower()}")
     print(f"stable {str(report.stable).lower()}")
@@ -384,8 +401,7 @@ def _cmd_stab_report(args) -> int:
 
 
 def _cmd_stab_hn(args) -> int:
-    rep = rep_from_doc(_load_json(args.rep))
-    theta = theta_from_doc(_load_json(args.theta))
+    rep, theta = _rep_and_theta(args)
     filtration = hn_filtration(rep, theta)
     for k, layer in enumerate(filtration.layers):
         dims = " ".join(str(x) for x in (layer.dims.r,) + layer.dims.v)
@@ -417,46 +433,51 @@ def build_parser() -> argparse.ArgumentParser:
         "for framed affine ADE quivers.",
     )
     sub = parser.add_subparsers(dest="group_cmd", required=True)
+    group_help = {
+        "rootsys": "root system data",
+        "mckay": "finite subgroups of SL(2, C)",
+        "theta": "stability vectors",
+        "cone": "cone membership",
+        "walls": "wall arrangements and slices",
+        "rep": "framed representations",
+        "stab": "stability certification",
+    }
+    groups = {}  # group -> the subparsers action of its commands
+    parser.leaves = {}
 
-    p_root = sub.add_parser("rootsys", help="root system data")
-    root_sub = p_root.add_subparsers(dest="cmd", required=True)
-    p = root_sub.add_parser("show", help="print Cartan data for one type")
+    def command(group, name, help, func):
+        """Add the parser of ``quiverstab <group> <name>``, which runs ``func``."""
+        if group not in groups:
+            p_group = sub.add_parser(group, help=group_help[group])
+            groups[group] = p_group.add_subparsers(dest="cmd", required=True)
+        leaf = parser.leaves[group, name] = groups[group].add_parser(name, help=help)
+        leaf.set_defaults(func=func)
+        return leaf
+
+    p = command("rootsys", "show", "print Cartan data for one type", _cmd_rootsys_show)
     p.add_argument("type")
-    p.set_defaults(func=_cmd_rootsys_show)
 
-    p_mckay = sub.add_parser("mckay", help="finite subgroups of SL(2, C)")
-    mckay_sub = p_mckay.add_subparsers(dest="cmd", required=True)
-    p = mckay_sub.add_parser("verify", help="check group data against a root system")
+    p = command("mckay", "verify", "check group data against a root system", _cmd_mckay_verify)
     p.add_argument("group", help="cyclic:<m>, bd:<m>, 2T, 2O, or 2I")
     p.add_argument("type")
-    p.set_defaults(func=_cmd_mckay_verify)
 
-    p_theta = sub.add_parser("theta", help="stability vectors")
-    theta_sub = p_theta.add_subparsers(dest="cmd", required=True)
-    p = theta_sub.add_parser("craw-wye", help="explicit chamber representative")
+    p = command("theta", "craw-wye", "explicit chamber representative", _cmd_theta_craw_wye)
     p.add_argument("--type", required=True)
     p.add_argument("-n", type=_int_flag, required=True)
     p.add_argument("--J", required=True, help="comma list of vertices, must contain 0")
     p.add_argument("--out", help="also write a theta JSON document")
-    p.set_defaults(func=_cmd_theta_craw_wye)
 
-    p_cone = sub.add_parser("cone", help="cone membership")
-    cone_sub = p_cone.add_subparsers(dest="cmd", required=True)
-    p = cone_sub.add_parser("check", help="test a theta document against one cone")
+    p = command("cone", "check", "test a theta document against one cone", _cmd_cone_check)
     p.add_argument("--theta", required=True)
     p.add_argument("--cone", required=True, choices=["F", "C", "sigma", "sigmaKK"])
     p.add_argument("--K", default="", help="comma list of vertices")
     p.add_argument("--Kp", default="", help="comma list of vertices (sigmaKK only)")
     p.add_argument("--closed", action="store_true", help="test the closed cone")
-    p.set_defaults(func=_cmd_cone_check)
 
-    p_walls = sub.add_parser("walls", help="wall arrangements and slices")
-    walls_sub = p_walls.add_subparsers(dest="cmd", required=True)
-    p = walls_sub.add_parser("build", help="enumerate the wall normals")
+    p = command("walls", "build", "enumerate the wall normals", _cmd_walls_build)
     p.add_argument("--type", required=True)
     p.add_argument("-n", type=_int_flag, required=True)
-    p.set_defaults(func=_cmd_walls_build)
-    p = walls_sub.add_parser("slice", help="render a transversal slice")
+    p = command("walls", "slice", "render a transversal slice", _cmd_walls_slice)
     p.add_argument("--type", required=True)
     p.add_argument("-n", type=_int_flag, required=True)
     p.add_argument(
@@ -470,43 +491,24 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="name:kind:K[:Kp], e.g. 'C+:C:1,2'; default labels every chamber",
     )
-    p.set_defaults(func=_cmd_walls_slice)
 
-    p_rep = sub.add_parser("rep", help="framed representations")
-    rep_sub = p_rep.add_subparsers(dest="cmd", required=True)
-    p = rep_sub.add_parser("check", help="print the relation defect of a document")
+    p = command("rep", "check", "print the relation defect of a document", _cmd_rep_check)
     p.add_argument("--rep", required=True)
-    p.set_defaults(func=_cmd_rep_check)
-    p = rep_sub.add_parser("orbit-sum", help="module of functions on free orbits")
+    p = command("rep", "orbit-sum", "module of functions on free orbits", _cmd_rep_orbit_sum)
     p.add_argument("--type", required=True)
     p.add_argument("-n", type=_int_flag, help="expected orbit count (checked against points)")
     p.add_argument("--points", required=True, help="x1,y1;x2,y2;...")
     p.add_argument("--field", default="Q", help="Q or F<p>")
     p.add_argument("--out", help="rep JSON output path (default: stdout)")
-    p.set_defaults(func=_cmd_rep_orbit_sum)
 
-    p_stab = sub.add_parser("stab", help="stability certification")
-    stab_sub = p_stab.add_subparsers(dest="cmd", required=True)
-    p = stab_sub.add_parser("report", help="(semi)stability with witness")
+    p = command("stab", "report", "(semi)stability with witness", _cmd_stab_report)
     p.add_argument("--rep", required=True)
     p.add_argument("--theta", required=True)
-    p.set_defaults(func=_cmd_stab_report)
-    p = stab_sub.add_parser("hn", help="Harder-Narasimhan filtration")
+    p = command("stab", "hn", "Harder-Narasimhan filtration", _cmd_stab_hn)
     p.add_argument("--rep", required=True)
     p.add_argument("--theta", required=True)
-    p.set_defaults(func=_cmd_stab_hn)
-    p = stab_sub.add_parser("tangent", help="moduli tangent dimension")
+    p = command("stab", "tangent", "moduli tangent dimension", _cmd_stab_tangent)
     p.add_argument("--rep", required=True)
-    p.set_defaults(func=_cmd_stab_tangent)
-
-    parser.leaves = {
-        (group, name): leaf
-        for group, commands in [
-            ("rootsys", root_sub), ("mckay", mckay_sub), ("theta", theta_sub),
-            ("cone", cone_sub), ("walls", walls_sub), ("rep", rep_sub), ("stab", stab_sub),
-        ]
-        for name, leaf in commands.choices.items()
-    }
     return parser
 
 

@@ -44,13 +44,13 @@ from .rootsys import MAX_GROUP_ORDER, DynkinType, RootSystem, parse_int
 
 _KEY_DIGITS = 9
 
-_FAMILIES = (
-    "cyclic",
-    "binary_dihedral",
-    "binary_tetrahedral",
-    "binary_octahedral",
-    "binary_icosahedral",
-)
+# the binary polyhedral groups: family -> (label, order, rank of the E type)
+_POLYHEDRAL = {
+    "binary_tetrahedral": ("2T", 24, 6),
+    "binary_octahedral": ("2O", 48, 7),
+    "binary_icosahedral": ("2I", 120, 8),
+}
+_FAMILIES = ("cyclic", "binary_dihedral", *_POLYHEDRAL)
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,11 @@ class GroupSpec:
             )
 
     def order(self) -> int:
-        return {
-            "cyclic": self.m,
-            "binary_dihedral": 4 * self.m,
-            "binary_tetrahedral": 24,
-            "binary_octahedral": 48,
-            "binary_icosahedral": 120,
-        }[self.family]
+        if self.family == "cyclic":
+            return self.m
+        if self.family == "binary_dihedral":
+            return 4 * self.m
+        return _POLYHEDRAL[self.family][1]
 
     def designated_dynkin(self) -> DynkinType:
         """The ADE type whose affine diagram should equal the McKay graph."""
@@ -87,21 +85,14 @@ class GroupSpec:
             return DynkinType("A", self.m - 1)
         if self.family == "binary_dihedral":
             return DynkinType("D", self.m + 2)
-        return DynkinType(
-            "E",
-            {"binary_tetrahedral": 6, "binary_octahedral": 7, "binary_icosahedral": 8}[
-                self.family
-            ],
-        )
+        return DynkinType("E", _POLYHEDRAL[self.family][2])
 
     def label(self) -> str:
         if self.family == "cyclic":
             return f"cyclic:{self.m}"
         if self.family == "binary_dihedral":
             return f"bd:{self.m}"
-        return {"binary_tetrahedral": "2T", "binary_octahedral": "2O", "binary_icosahedral": "2I"}[
-            self.family
-        ]
+        return _POLYHEDRAL[self.family][0]
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
@@ -113,13 +104,9 @@ class GroupSpec:
                 except ValueError:
                     raise InvalidRank(f"cannot parse group spec {text!r}") from None
                 return cls(family, m)
-        named = {
-            "2t": "binary_tetrahedral",
-            "2o": "binary_octahedral",
-            "2i": "binary_icosahedral",
-        }
-        if text.lower() in named:
-            return cls(named[text.lower()])
+        for family, (label, _, _) in _POLYHEDRAL.items():
+            if text.lower() == label.lower():
+                return cls(family)
         raise InvalidRank(f"cannot parse group spec {text!r}")
 
 

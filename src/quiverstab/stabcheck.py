@@ -211,14 +211,6 @@ def spin(rep: FramedRep, seeds):
     return {v: tuple(rows) for v, (rows, _) in zip(order, bases)}
 
 
-def _signature(rep, family):
-    return tuple(family[v] for v in _vertex_order(rep))
-
-
-def _sig_dims(sig) -> DimVector:
-    return DimVector(len(sig[0]), tuple(len(rows) for rows in sig[1:]))
-
-
 @dataclass(frozen=True)
 class SubmoduleNode:
     """One submodule: reduced echelon bases per vertex plus its dimensions."""
@@ -256,13 +248,13 @@ class SubmoduleLattice:
         )
 
 
-def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> SubmoduleLattice:
+def submodule_lattice(rep: FramedRep) -> SubmoduleLattice:
     """All submodules of a representation over a small prime field.
 
     Refuses (LatticeTooLarge) rather than sampling whenever the total
     dimension exceeds the per-prime cap or the node count exceeds
-    ``node_cap``, so a returned lattice is always complete; the refusal
-    names the atoms, nodes and distinct joins it had reached.
+    ``DEFAULT_NODE_CAP``, so a returned lattice is always complete; the
+    refusal names the atoms, nodes and distinct joins it had reached.
 
     The atoms are the distinct spans of the seed lines, numbered in line
     order (vertices in (inf, 0, 1, ...) order, lines in ``itertools.product``
@@ -289,6 +281,7 @@ def submodule_lattice(rep: FramedRep, node_cap: int = DEFAULT_NODE_CAP) -> Submo
             f"total dimension {total} exceeds the cap {cap} for p = {field.p}"
         )
 
+    node_cap = DEFAULT_NODE_CAP
     order = _vertex_order(rep)
     # Every distinct echelon basis, at any vertex, gets an id on first sight;
     # a signature is the tuple of the ids of a node's bases in vertex order.
@@ -432,7 +425,7 @@ def is_framing_cyclic(rep: FramedRep) -> bool:
     if rep.dims.r != 1:
         raise NoFraming("the representation has no framing component")
     span = spin(rep, [(INF, (rep.field.one,))])
-    return _sig_dims(_signature(rep, span)) == rep.dims
+    return tuple(len(span[v]) for v in _vertex_order(rep)) == rep.dims.key()
 
 
 # -- Harder-Narasimhan --------------------------------------------------------

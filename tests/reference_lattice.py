@@ -19,12 +19,18 @@ from quiverstab.stabcheck import (
     HNFiltration,
     HNLayer,
     SubmoduleNode,
-    _sig_dims,
-    _signature,
     _vertex_order,
     spin,
 )
 from quiverstab.stability import StabilityVector, pair_dim
+
+
+def _signature(rep, family):
+    return tuple(family[v] for v in _vertex_order(rep))
+
+
+def _sig_dims(sig) -> DimVector:
+    return DimVector(len(sig[0]), tuple(len(rows) for rows in sig[1:]))
 
 
 def _slope(theta: StabilityVector, dims: DimVector) -> Fraction:

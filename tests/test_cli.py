@@ -461,6 +461,19 @@ def _fp_doc_with_entry(entry):
         (["cone", "check", "--theta", "{float_entry}", "--cone", "F"], "DocumentError"),
         (["cone", "check", "--theta", "{bool_entry}", "--cone", "F"], "DocumentError"),
         (["rep", "check", "--rep", "{float_entry_rep}"], "DocumentError"),
+        # theta for (1, 3 delta), the module is (1, 2 delta)
+        (["stab", "report", "--rep", "{orbit_f5}", "--theta", "{theta_n3}"], "ContextMismatch"),
+        (["stab", "hn", "--rep", "{orbit_f5}", "--theta", "{theta_n3}"], "ContextMismatch"),
+        # a D4 theta has as many entries as an A4 module has vertices
+        (["stab", "report", "--rep", "{zero_a4}", "--theta", "{theta_d4}"], "ContextMismatch"),
+        (["stab", "hn", "--rep", "{zero_a4}", "--theta", "{theta_d4}"], "ContextMismatch"),
+        # these were read entry by entry: "12" as [1, 2], a dict by its keys
+        (["rep", "check", "--rep", "{string_rows}"], "DocumentError"),
+        (["rep", "check", "--rep", "{dict_matrix}"], "DocumentError"),
+        (["rep", "check", "--rep", "{string_matrix}"], "DocumentError"),
+        (["rep", "check", "--rep", "{float_n_rep}"], "DocumentError"),
+        (["rep", "check", "--rep", "{bool_n_rep}"], "DocumentError"),
+        (["rep", "check", "--rep", "{text_n_rep}"], "DocumentError"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -478,7 +491,9 @@ def _fp_doc_with_entry(entry):
          "group-order-fullwidth-digit", "rank-arabic-digit", "rank-fullwidth-digit",
          "float-n", "bool-n", "float-p", "float-dims", "arabic-digit-dims",
          "arabic-digit-vertex", "field-arabic-digit", "float-entry", "bool-entry",
-         "float-entry-rep"],
+         "float-entry-rep", "theta-other-n-report", "theta-other-n-hn",
+         "theta-other-type-report", "theta-other-type-hn", "string-rows", "dict-matrix",
+         "string-matrix", "float-n-rep", "bool-n-rep", "text-n-rep"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -504,6 +519,17 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
         "float_entry": {"type": "A2", "n": 1, "entries": {"0": 0.1, "1": "1", "2": "1"}},
         "bool_entry": {"type": "A2", "n": 1, "entries": {"0": "1", "1": True, "2": "1"}},
         "float_entry_rep": _fp_doc_with_entry(0.5),
+        "orbit_f5": rep_to_doc(framed_orbit_sum(A1, [(1, 0), (0, 1)], PrimeField(5)), n=2),
+        "theta_n3": theta_to_doc(craw_wye_theta(A1, {0}, 3)),
+        "zero_a4": {"type": "A4", "n": 1, "field": "Fp", "p": 2,
+                    "dims": {"inf": 1, **{str(i): 1 for i in range(5)}}},
+        "theta_d4": {"type": "D4", "n": 1, "entries": {str(i): "1" for i in range(5)}},
+        "string_rows": {**_fp_doc_with_entry("1"), "matrices": {"e:0-1": ["12", "34"]}},
+        "dict_matrix": {**_fp_doc_with_entry("1"), "matrices": {"b": {"1": 0, "0": 1}}},
+        "string_matrix": {**_fp_doc_with_entry("1"), "matrices": {"b": "1"}},
+        "float_n_rep": {**_fp_doc_with_entry("1"), "n": 2.7},
+        "bool_n_rep": {**_fp_doc_with_entry("1"), "n": True},
+        "text_n_rep": {**_fp_doc_with_entry("1"), "n": "zz"},
     }
     paths = {"svg": tmp_path / "x.svg", "nowhere": tmp_path / "missing"}
     for name, doc in docs.items():
@@ -624,12 +650,13 @@ A1, A2 = (quiverstab.build_root_system(quiverstab.DynkinType.parse(t)) for t in 
 REPS = [rep_to_doc(framed_orbit_sum(A1, [(1, 0)], PrimeField(3)), n=1),
         rep_to_doc(framed_orbit_sum(A2, [(1, 0)], QQ), n=1)]
 THETAS = [{"type": "A1", "n": 1, "entries": {"0": "1", "1": "-1/2"}},
+          {"type": "A1", "n": 2, "entries": {"0": "1", "1": "-1/2"}},
           {"type": "A2", "n": 1, "entries": {"0": "-1", "1": "1", "2": "1"}}]
 # a fresh object per draw, so no mutation can nest a value inside itself
 json_value = st.one_of(
     st.integers(-1, 2), st.floats(-2, 2),
     st.sampled_from(['null', 'true', 'Infinity', '""', '"x"', '"1/0"', '"2"', '"F3"', '[]',
-                     '[1]', '[["1"]]', '{}']).map(json.loads),
+                     '[1]', '[["1"]]', '{}', '"12"', '{"1": 0, "0": 1}']).map(json.loads),
 )
 
 

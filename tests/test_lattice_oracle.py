@@ -30,6 +30,7 @@ from quiverstab import (
     hn_filtration,
     spin,
     stability_report,
+    stabcheck,
     submodule_lattice,
 )
 from quiverstab.errors import LatticeTooLarge
@@ -142,7 +143,7 @@ def _containment_pairs(d, p):
     )
 
 
-def test_zero_arrow_lattice_near_the_cap():
+def test_zero_arrow_lattice_near_the_cap(monkeypatch):
     # every family of per-vertex subspaces is a submodule when all arrows vanish
     rep = _zero_arrow("A1", (3, 3), 2)
     dims = (1, 3, 3)
@@ -155,8 +156,9 @@ def test_zero_arrow_lattice_near_the_cap():
     lattice = submodule_lattice(rep)
     assert len(lattice) == expected_nodes
     assert len(lattice.relations) == expected_pairs - expected_nodes
+    monkeypatch.setattr(stabcheck, "DEFAULT_NODE_CAP", expected_nodes - 1)
     with pytest.raises(LatticeTooLarge):
-        submodule_lattice(rep, node_cap=expected_nodes - 1)
+        submodule_lattice(rep)
 
 
 def test_default_cap_refusal_is_cheap():

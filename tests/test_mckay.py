@@ -139,6 +139,29 @@ def test_group_spec_validation():
     assert GroupSpec.parse("bd:3").order() == 12
 
 
+@pytest.mark.parametrize(
+    "text,family,m,order,dynkin",
+    [
+        ("cyclic:2", "cyclic", 2, 2, "A1"),
+        ("CYCLIC:7", "cyclic", 7, 7, "A6"),
+        ("bd:2", "binary_dihedral", 2, 8, "D4"),
+        (" Bd:5 ", "binary_dihedral", 5, 20, "D7"),
+        ("2T", "binary_tetrahedral", 0, 24, "E6"),
+        ("2t", "binary_tetrahedral", 0, 24, "E6"),
+        ("2O", "binary_octahedral", 0, 48, "E7"),
+        ("2o", "binary_octahedral", 0, 48, "E7"),
+        ("2I", "binary_icosahedral", 0, 120, "E8"),
+        ("2i", "binary_icosahedral", 0, 120, "E8"),
+    ],
+)
+def test_group_spec_facts_and_label_round_trip(text, family, m, order, dynkin):
+    spec = GroupSpec.parse(text)
+    assert spec == GroupSpec(family, m)
+    assert GroupSpec.parse(spec.label()) == spec
+    assert spec.order() == order
+    assert spec.designated_dynkin().label() == dynkin
+
+
 def test_group_order_cap():
     assert GroupSpec("binary_icosahedral").order() == MAX_GROUP_ORDER
     assert GroupSpec("cyclic", MAX_GROUP_ORDER).order() == MAX_GROUP_ORDER
