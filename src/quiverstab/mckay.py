@@ -63,10 +63,11 @@ class GroupSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidRank(f"unknown group family {self.family!r}")
-        if self.family == "cyclic" and self.m < 2:
-            raise InvalidRank("cyclic groups need m >= 2")
-        if self.family == "binary_dihedral" and self.m < 2:
-            raise InvalidRank("binary dihedral groups need m >= 2")
+        if self.family in _POLYHEDRAL:
+            if self.m != 0:  # one spec per group: its facts do not read m
+                raise InvalidRank(f"{self.label()} takes no m, got {self.m}")
+        elif self.m < 2:
+            raise InvalidRank(f"{self.family.replace('_', ' ')} groups need m >= 2")
         if self.order() > MAX_GROUP_ORDER:
             raise GroupTooLarge(
                 f"{self.label()} has order {self.order()} > {MAX_GROUP_ORDER}"

@@ -9,17 +9,15 @@ under joins with one atom at a time reaches the whole lattice, which keeps
 the search exact and exhaustive at desk scale.  Each node records the set
 of atoms it contains as an int bitset, and containment of nodes is
 containment of their bitsets.  Within one build, each distinct echelon
-basis is interned once as a small int id (with its pivots and length),
-a node is the tuple of its per-vertex ids, each distinct join of two ids
-is eliminated once, by extending the node's reduced basis with the atom's
-rows, and each (vertex, id) is tested against the atom seeds once; the id
-table and both memos are dropped when the build returns.
+basis is interned once as a small int id, a node is the tuple of its
+per-vertex ids, and one join sums two ids: it extends the first's reduced
+basis with the second's rows, once per distinct pair.
 
-The atoms come from one pass over the line graph, not one spin per seed
-line: each seed line points at the lines of its nonzero arrow images, and
-the spin of a line is the span of the lines it reaches, so all lines of
-one strongly connected component share one span, built once from the
-spans of the components below it (Tarjan's walk finishes those first).
+The atoms come from one walk over the line graph, where each seed line
+points at the lines of its nonzero arrow images.  The spin of a line is
+the span of the lines it reaches, so all lines of one strongly connected
+component share one span: the join of the spans of the components below
+it (Tarjan's walk lists those first) and of its own lines.
 :func:`spin` spins arbitrary seeds by the plain work-list closure.
 
 Stability verdicts and destabilizer witnesses come from walking that
@@ -86,21 +84,15 @@ def _arrow_table(rep: FramedRep):
     return table
 
 
-def _line_spans(field, dims, table):
-    """The seed lines in order, and per line the index of its span.
+def _line_components(field, dims, table):
+    """The seed lines, their successors and the line graph's components.
 
     ``dims`` are the dimensions per vertex position and ``table`` the
     :func:`_arrow_table` of the representation.  Returns ``lines``, a list of
-    (vertex position, lead-one vector); ``span_of``, per line the index of
-    its span in ``spans``; and ``spans``, per index the reduced echelon
-    (rows, pivots) per vertex position.
-
-    Each line points at the lines of its nonzero arrow images.  Since
-    pi (c v) = c (pi v), the spin of a line is the span of the lines it
-    reaches, which is the same for every line of one strongly connected
-    component.  An iterative Tarjan walk finishes each component after
-    every component it reaches, so the component's span is the echelon
-    join of the spans below it plus its own lines.
+    (vertex position, lead-one vector); ``succ``, per line the lines of its
+    nonzero arrow images; and ``components``, the strongly connected
+    components as lists of lines, each after every component it reaches
+    (an iterative Tarjan walk).
     """
     lines = []
     index_at = []  # per vertex position, lead-one vector -> line index
@@ -126,33 +118,8 @@ def _line_spans(field, dims, table):
                 out.append(index_at[head][image])
         succ.append(out)
 
-    spans = []
-    span_of = [None] * len(lines)  # set when the line's component is finished
-
-    def finish(members):
-        below = {span_of[w] for u in members for w in succ[u]}
-        below.discard(None)  # edges inside the component
-        bases = None
-        for i in below:
-            if bases is None:
-                bases = [(list(rows), list(pivots)) for rows, pivots in spans[i]]
-                continue
-            for (rows, pivots), (more, _) in zip(bases, spans[i]):
-                for row in more:
-                    echelon_insert(field, rows, pivots, row)
-        if bases is None:
-            bases = [([], []) for _ in table]
-        for u in members:
-            k, vec = lines[u]
-            rows, pivots = bases[k]
-            if rows:
-                echelon_insert(field, rows, pivots, vec)
-            else:  # a lead-one vector is its own echelon basis
-                rows.append(vec)
-                pivots.append(vec.index(1))
-            span_of[u] = len(spans)
-        spans.append(bases)
-
+    components = []
+    done = [False] * len(lines)  # set when the line's component is finished
     order = [None] * len(lines)  # visit number
     low = [0] * len(lines)
     stack = []
@@ -173,7 +140,7 @@ def _line_spans(field, dims, table):
                     stack.append(w)
                     walk.append((w, iter(succ[w])))
                     break
-                if span_of[w] is None and order[w] < low[u]:  # w is on the stack
+                if not done[w] and order[w] < low[u]:  # w is on the stack
                     low[u] = order[w]
             else:
                 walk.pop()
@@ -181,9 +148,11 @@ def _line_spans(field, dims, table):
                     low[walk[-1][0]] = low[u]
                 if low[u] == order[u]:
                     at = stack.index(u)
-                    finish(stack[at:])
+                    components.append(stack[at:])
                     del stack[at:]
-    return lines, span_of, spans
+                    for w in components[-1]:
+                        done[w] = True
+    return lines, succ, components
 
 
 def spin(rep: FramedRep, seeds):
@@ -258,16 +227,15 @@ def submodule_lattice(rep: FramedRep) -> SubmoduleLattice:
 
     The atoms are the distinct spans of the seed lines, numbered in line
     order (vertices in (inf, 0, 1, ...) order, lines in ``itertools.product``
-    order of their lead-one vectors); :func:`_line_spans` gives every
-    line's span from one walk over the line graph.  Each distinct echelon
-    basis gets an int id on first sight, shared by all vertices, and a node
-    is keyed by the tuple of its ids.  Joins and
-    atom memberships are memoised on ids for the length of the build: the
-    join of a node with an atom is the node with its subspace at each of
-    the atom's vertices replaced by their sum, eliminated once per distinct
-    pair of ids by extending the node's reduced basis with the atom's rows
-    (the ``onto`` of :func:`rref`), and a node's bitset is the OR of
-    per-vertex bitsets, computed once per (vertex, id).
+    order of their lead-one vectors).  Each distinct echelon basis gets an
+    int id on first sight, shared by all vertices, and a node is keyed by
+    the tuple of its ids.  One join adds two subspaces, once per distinct
+    pair of ids: unless the first is zero, it extends the first's reduced
+    basis with the second's rows (the ``onto`` of :func:`rref`).  Joining
+    the spans below each component of :func:`_line_components` and its own
+    lines gives every line's span; the closure joins a node with an atom at
+    each of the atom's vertices.  A node's bitset is the OR of per-vertex
+    bitsets, computed once per (vertex, id).
     """
     field = rep.field
     if not isinstance(field, PrimeField):
@@ -313,13 +281,34 @@ def submodule_lattice(rep: FramedRep) -> SubmoduleLattice:
             )
         nodes[sig] = None
 
+    def summed(memo, h, i):
+        """The id of the sum of subspaces h and i, memoised in ``memo`` on (h, i)."""
+        j = memo.get((h, i))
+        if j is None:  # 0 + i is i; otherwise extend h's reduced basis by i's rows
+            onto = (basis_rows[h], basis_pivots[h])
+            j = memo[h, i] = intern(*rref(field, basis_rows[i], onto)) if basis_dim[h] else i
+        return j
+
     zero = (intern((), ()),) * len(order)
     add(zero)
-    lines, span_of, spans = _line_spans(field, rep.dims.key(), _arrow_table(rep))
-    sigs = [tuple([intern(tuple(rows), tuple(pivots)) for rows, pivots in bases])
-            for bases in spans]
-    for (k, vec), i in zip(lines, span_of):
-        sig = sigs[i]
+    lines, succ, components = _line_components(field, rep.dims.key(), _arrow_table(rep))
+    span_of = [None] * len(lines)  # per line, the signature of its spin
+    spanned = {}  # the atom pass's own joins, kept out of the refusal's count
+    for members in components:
+        below = {span_of[w] for u in members for w in succ[u]}
+        below.discard(None)  # edges inside the component
+        sig = list(below.pop() if below else zero)
+        for other in below:
+            for k, i in enumerate(other):
+                if basis_dim[i]:
+                    sig[k] = summed(spanned, sig[k], i)
+        for u in members:
+            k, vec = lines[u]
+            sig[k] = summed(spanned, sig[k], intern((vec,), (vec.index(1),)))
+        sig = tuple(sig)
+        for u in members:
+            span_of[u] = sig
+    for (k, vec), sig in zip(lines, span_of):
         if sig not in nodes:
             add(sig)
             seeds[k].append((len(atoms), vec))
@@ -361,9 +350,8 @@ def submodule_lattice(rep: FramedRep) -> SubmoduleLattice:
                 for k, i in support:
                     h = sig_a[k]
                     j = joined.get((h, i))
-                    if j is None:  # extend the node's reduced basis by the atom's rows
-                        onto = (basis_rows[h], basis_pivots[h])
-                        j = joined[h, i] = intern(*rref(field, basis_rows[i], onto))
+                    if j is None:
+                        j = summed(joined, h, i)
                     sig[k] = j
                 sig = tuple(sig)
                 if sig not in nodes:

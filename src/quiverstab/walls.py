@@ -218,9 +218,7 @@ def _feasible_point(constraints, nvars):
                     strict and p * best_hi[1] == best_hi[0] * q
                 ):
                     best_hi = (p, q, strict)
-        if best_lo is None and best_hi is None:
-            continue  # the variable stays 0
-        if best_hi is None:
+        if best_hi is None:  # var is active in the stage, so some row bounds it
             p, q, _ = best_lo
             assign(var, p + q, q)
         elif best_lo is None:

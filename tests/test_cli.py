@@ -474,6 +474,21 @@ def _fp_doc_with_entry(entry):
         (["rep", "check", "--rep", "{float_n_rep}"], "DocumentError"),
         (["rep", "check", "--rep", "{bool_n_rep}"], "DocumentError"),
         (["rep", "check", "--rep", "{text_n_rep}"], "DocumentError"),
+        # json.load raises ValueError or RecursionError: bad UTF-8, nesting, a long int
+        (["rep", "check", "--rep", "{not_utf8}"], "DocumentError"),
+        (["rep", "check", "--rep", "{deep}"], "DocumentError"),
+        (["cone", "check", "--theta", "{long_n}", "--cone", "F"], "DocumentError"),
+        (["walls", "build", "--type", "A2", "-n", "0"], "ContextMismatch"),
+        (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}", "--plane", "junk"],
+         "DocumentError"),
+        (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}",
+          "--plane", "base=1,0,0"], "DocumentError"),
+        (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}",
+          "--plane", "base=0,0;d1=1,0;d2=0,1;window=0,1"], "DocumentError"),
+        (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}", "--label", "a:b"],
+         "DocumentError"),
+        (["rep", "orbit-sum", "--type", "A1", "--points", ";"], "DocumentError"),
+        (["rep", "orbit-sum", "--type", "A1", "-n", "3", "--points", "1,0"], "DocumentError"),
     ],
     ids=["non-prime-field", "zero-denominator-point", "fp-entry-check", "fp-entry-report",
          "zero-denominator-theta", "craw-wye-n0", "zero-extent-window",
@@ -493,7 +508,10 @@ def _fp_doc_with_entry(entry):
          "arabic-digit-vertex", "field-arabic-digit", "float-entry", "bool-entry",
          "float-entry-rep", "theta-other-n-report", "theta-other-n-hn",
          "theta-other-type-report", "theta-other-type-hn", "string-rows", "dict-matrix",
-         "string-matrix", "float-n-rep", "bool-n-rep", "text-n-rep"],
+         "string-matrix", "float-n-rep", "bool-n-rep", "text-n-rep", "not-utf8",
+         "nested-too-deep", "n-5000-digits", "build-n0", "plane-junk-chunk",
+         "plane-without-directions", "plane-window-2-entries", "label-two-fields",
+         "no-points", "n-disagrees-with-points"],
 )
 def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     docs = {
@@ -535,6 +553,14 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
+    raw = {  # documents json.dumps does not write
+        "not_utf8": b"\xff\xfe{}",
+        "deep": b"[" * 100000 + b"]" * 100000,
+        "long_n": b'{"type": "A1", "n": ' + b"9" * 5000 + b', "entries": {"0": "1", "1": "1"}}',
+    }
+    for name, data in raw.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(data)
     start = time.monotonic()
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert time.monotonic() - start < 1.0  # a refusal stays cheap
@@ -542,6 +568,18 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(error + ": ") and err.count("\n") == 1
+
+
+def test_rep_check_prints_a_zero_dimensional_vertex_as_empty(capsys, tmp_path):
+    # vertex 1 has dimension 0, so its relation defect is the empty matrix
+    doc = {"type": "A2", "n": 1, "field": "Q", "dims": {"inf": 1, "0": 1, "1": 0, "2": 2},
+           "matrices": {"b": [["2"]], "b*": [["3"]], "e:0-2": [["1"], ["2"]],
+                        "e*:2-0": [["3", "1"]]}}
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "rep", "check", "--rep", str(rep_file))
+    assert code == 0
+    assert out == "vertex 0\n  1\nvertex 1\n  (empty)\nvertex 2\n  3 1\n  6 2\nmodule false\n"
 
 
 def test_rational_literals_up_to_the_exponent_cap_parse():

@@ -140,6 +140,17 @@ def test_group_spec_validation():
 
 
 @pytest.mark.parametrize(
+    "family", ["binary_tetrahedral", "binary_octahedral", "binary_icosahedral"]
+)
+def test_polyhedral_group_spec_refuses_an_m(family):
+    # its label, order and type do not read m, so a nonzero m would give a
+    # second spec of the same group that neither equals nor hashes like it
+    with pytest.raises(InvalidRank):
+        GroupSpec(family, 5)
+    assert GroupSpec(family, 0) == GroupSpec(family)
+
+
+@pytest.mark.parametrize(
     "text,family,m,order,dynkin",
     [
         ("cyclic:2", "cyclic", 2, 2, "A1"),

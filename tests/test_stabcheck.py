@@ -27,13 +27,14 @@ from quiverstab import (
     tangent_dimension,
 )
 from quiverstab.errors import (
+    IndexMismatch,
     LatticeTooLarge,
     NoFraming,
     NotAModule,
     UnsupportedField,
 )
 from quiverstab.fieldops import PrimeField, QQ, mat_vec
-from quiverstab.stabcheck import _vertex_order
+from quiverstab.stabcheck import HNFiltration, _vertex_order
 from reference_lattice import _slope, _subrep
 
 F2 = PrimeField(2)
@@ -157,6 +158,12 @@ def test_spin_from_vertex_one_gives_unframed_part(rs_a1):
     family = spin(rep, [(1, (1,))])
     assert family[INF] == ()
     assert len(family[0]) == 1 and len(family[1]) == 1
+
+
+def test_spin_refuses_a_seed_of_the_wrong_length(rs_a1):
+    rep = framed_orbit_sum(rs_a1, [(1, 0)], F3)
+    with pytest.raises(IndexMismatch):
+        spin(rep, [(INF, (1, 0))])
 
 
 # -- lattice -------------------------------------------------------------------
@@ -308,6 +315,11 @@ def test_hn_stable_is_single_layer(rs_a1):
     assert len(filtration.layers) == 1
     assert filtration.layers[0].dims == rep.dims
     assert filtration.layers[0].slope == 0
+
+
+def test_hn_of_the_zero_module_has_no_layers(rs_a1):
+    rep = FramedRep(framed_quiver(rs_a1), F3, DimVector(0, (0, 0)), {})
+    assert hn_filtration(rep, craw_wye_theta(rs_a1, {0}, 1)) == HNFiltration(layers=())
 
 
 def test_hn_broken_framing_two_layers(rs_a1):

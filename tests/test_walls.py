@@ -242,6 +242,11 @@ def test_sampler_refuses_a_single_point_set(rs_a1):
         sample_interior_points(rs_a1, 1, point, 2, seed=0)
 
 
+def test_sampler_of_an_infeasible_system_is_empty(rs_a1):
+    empty = [((1, 1), ">"), ((-1, -1), ">")]
+    assert sample_interior_points(rs_a1, 1, empty, 3, seed=0) == []
+
+
 def test_render_slice_a1_four_cells(rs_a1):
     plane = figure_plane(rs_a1)
     result = render_slice(rs_a1, 1, plane, [])
