@@ -141,10 +141,25 @@ def rep_from_doc(doc: dict) -> FramedRep:
     return FramedRep(framed_quiver(rs), field, dims, matrices)
 
 
+def _json_int(text: str) -> int:
+    """``int`` of a JSON integer literal, refusing one over the interpreter's digit limit.
+
+    The refusal names the limit instead of passing on Python's advice to
+    raise it, which a command-line user cannot act on.
+    """
+    try:
+        return int(text)
+    except ValueError:  # the scanner has checked the syntax; only the length is left
+        digits = len(text.lstrip("-"))
+        raise ValueError(
+            f"an integer of {digits} digits is over the limit of {sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, JSON or int
         raise DocumentError(f"cannot read {path}: {exc}") from None
 
@@ -157,8 +172,49 @@ def _write_text(path: str, text: str):
         raise DocumentError(f"cannot write {path}: {exc}") from None
 
 
+_encode = json.JSONEncoder().encode  # one leaf or key, as json.dumps writes it
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def _emit(out: list, x, pad: str):
+    """Append to ``out`` the text of ``x`` laid out as ``json.dumps(x, indent=2, sort_keys=True)``.
+
+    ``pad`` is the indent of the line ``x`` starts on; keys are strings.
+    The stdlib's indented encoder is pure Python and leaves cyclic garbage
+    behind, so containers are walked here and only leaves are encoded; a
+    list of leaves, such as a matrix row, is joined in one step.
+    """
+    inner = pad + "  "
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key in sorted(x):
+            out.append(sep + _encode(key) + ": ")
+            _emit(out, x[key], inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+        elif _CONTAINERS.isdisjoint(map(type, x)):
+            out.append("[\n" + inner + (",\n" + inner).join(map(_encode, x)) + "\n" + pad + "]")
+        else:
+            sep = "[\n" + inner
+            for item in x:
+                out.append(sep)
+                _emit(out, item, inner)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "]")
+    else:
+        out.append(_encode(x))
+
+
 def _dump_json(doc: dict, path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out = []
+    _emit(out, doc, "")
+    text = "".join(out) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

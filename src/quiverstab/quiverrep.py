@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 from .errors import (
     DimensionTooLarge,
@@ -25,17 +27,29 @@ from .errors import (
     UnsupportedField,
     UnsupportedType,
 )
-from .fieldops import PrimeField, identity, invert, mat_coerce, mat_mul, zeros
+from .fieldops import (
+    PrimeField,
+    Rationals,
+    identity,
+    invert,
+    mat_coerce,
+    mat_mul,
+    over_lcd,
+    zeros,
+)
 from .rootsys import RootSystem
 
 INF = "inf"
 
 # Largest total dimension r + sum(v) of a representation; it keeps (1, delta)
 # for every type (E8 gives 31).  For a given total the slowest shape is A1
-# with the total split evenly.  On a 2-core host `stab tangent` takes 0.66 s
-# on the zero A1 (0, (16, 16)) document over Q and 2.7 s on the 15-point A1
-# orbit module (total 31); the zero A1 (1, (20, 20)) document takes 1.7 s,
-# and the dense Jacobian grows as the fourth power of the total.
+# with the total split evenly, and the dense relation Jacobian grows as the
+# fourth power of the total.  On a 2-core host, in-process, `stab tangent`
+# takes 0.1 s on the 15-point A1 orbit module (total 31), whose Jacobian
+# has full rank mod p, and 0.4-0.5 s where the rank falls back to Q: 14
+# orbits plus a zero summand, or 15 orbits with coordinates divisible by
+# p.  The zero A1 (0, (16, 16)) document takes 0.03 s, its Jacobian being
+# zero, and `rep check` takes 3 ms on any of them.
 MAX_TOTAL_DIM = 32
 
 
@@ -152,6 +166,38 @@ class FramedRep:
         return FramedRep(self.quiver, self.field, self.dims, new)
 
 
+class _Integers:
+    """The integers as a row normaliser: rows of ints stay plain ints.
+
+    The matrix kernels compute with Python operators and hand each row to
+    ``reduce``, so under this normaliser they multiply integral forms
+    exactly without a Fraction.  Nothing is ever inverted.
+    """
+
+    zero = 0
+    coerce = staticmethod(int)
+    reduce = staticmethod(tuple)
+
+
+_ZZ = _Integers()
+
+
+def _integral_form(rep: FramedRep):
+    """(rep's matrices times den, as a representation over the integers, den).
+
+    ``den`` is the least common denominator of every entry of a rational
+    representation (:func:`over_lcd`), so each relation value of the
+    integral form is den^2 times that of ``rep`` and each relation
+    Jacobian entry den times: the same zeros, the same ranks.
+    """
+    mats = rep.matrices
+    nums, den = over_lcd([x for mat in mats.values() for row in mat for x in row])
+    it = iter(nums)
+    ints = {label: tuple([tuple(islice(it, len(row))) for row in mat])
+            for label, mat in mats.items()}
+    return FramedRep(rep.quiver, _ZZ, rep.dims, ints), den
+
+
 def moment_defect(rep: FramedRep):
     """Per-vertex signed relation values, indexed by the affine vertices.
 
@@ -159,9 +205,18 @@ def moment_defect(rep: FramedRep):
     head i minus the sum of x_a* x_a over original arrows with tail i; the
     framing pair contributes at vertex 0 only.  The value at the framing
     vertex is omitted: its trace is determined by the others.  A product
-    through a zero-dimensional vertex is zero and is skipped.
+    through a zero-dimensional vertex is zero and is skipped.  Over Q the
+    products run on the integral form, and each value is divided by den^2
+    once at the end.
     """
     field = rep.field
+    if isinstance(field, Rationals):
+        ints, den = _integral_form(rep)
+        scale = den * den
+        return {
+            i: tuple([tuple([Fraction(x, scale) for x in row]) for row in mat])
+            for i, mat in moment_defect(ints).items()
+        }
     dims = rep.dims
     defect = {i: zeros(field, dims.v[i], dims.v[i]) for i in rep.quiver.rs.vertices}
 
@@ -182,7 +237,13 @@ def moment_defect(rep: FramedRep):
 
 
 def is_pi_bar_module(rep: FramedRep) -> bool:
-    """True when every relation value of :func:`moment_defect` vanishes."""
+    """True when every relation value of :func:`moment_defect` vanishes.
+
+    Over Q the test runs on the integral form, whose values are den^2
+    times the rational ones, so no Fraction is built.
+    """
+    if isinstance(rep.field, Rationals):
+        rep = _integral_form(rep)[0]
     return not any(x for mat in moment_defect(rep).values() for row in mat for x in row)
 
 

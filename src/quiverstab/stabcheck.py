@@ -31,6 +31,9 @@ reduction only; the report says so explicitly.
 
 The moduli tangent dimension at an exact rational module is its number of
 arrow entries minus twice the rank of the closed-form relation Jacobian.
+That Jacobian is built on integer numerators over one common denominator
+and ranked mod a large prime; only a rank short of full is taken again,
+exactly, over Q.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter, sub
 
 from .errors import (
@@ -49,6 +52,8 @@ from .errors import (
     UnsupportedField,
 )
 from .fieldops import (
+    MAX_PRIME,
+    QQ,
     PrimeField,
     Rationals,
     dot,
@@ -58,7 +63,7 @@ from .fieldops import (
     reduce_against,
     rref,
 )
-from .quiverrep import DimVector, FramedRep, INF, is_pi_bar_module
+from .quiverrep import DimVector, FramedRep, INF, _integral_form, is_pi_bar_module
 from .stability import StabilityVector
 
 DEFAULT_DIM_CAPS = {2: 12, 3: 8, 5: 6}
@@ -571,6 +576,12 @@ def _relation_jacobian(rep: FramedRep):
     return columns
 
 
+@cache
+def _modular_field() -> PrimeField:
+    """F_p for p = MAX_PRIME, built on first use: testing p for primality takes milliseconds."""
+    return PrimeField(MAX_PRIME)
+
+
 def tangent_dimension(rep: FramedRep) -> int:
     """Moduli tangent dimension at an exact module representation.
 
@@ -580,11 +591,24 @@ def tangent_dimension(rep: FramedRep) -> int:
     arrow entries minus rank dmu_x minus rank rho_x.  The identity
     tr(g dmu_x(xi)) = omega(rho_x(g), xi) makes dmu_x the adjoint of rho_x
     under the trace form and the symplectic form, both nondegenerate, so
-    the two ranks are equal and one exact rational elimination suffices.
+    the two ranks are equal and one rank suffices.
+
+    The rank is that of the integral form's Jacobian, den times the
+    rational one.  It is taken mod p = MAX_PRIME first: the rank mod p is
+    at most the rank over Q, which is at most the smaller side of the
+    matrix, so a p-rank that reaches that side is exact.  Otherwise (a
+    singular point, or entries that vanish mod p) the same integer columns
+    are ranked over Q.
     """
     if not isinstance(rep.field, Rationals):
         raise UnsupportedField("tangent computation runs over the rationals")
-    if not is_pi_bar_module(rep):
+    ints, _ = _integral_form(rep)
+    if not is_pi_bar_module(ints):
         raise NotAModule("relations do not vanish at this representation")
-    columns = _relation_jacobian(rep)
-    return len(columns) - 2 * rank(rep.field, columns)
+    columns = _relation_jacobian(ints)
+    nonzero = [col for col in columns if any(col)]  # no rank; a zero summand has many
+    full = min(len(nonzero), sum(d * d for d in rep.dims.v))
+    r = rank(_modular_field(), nonzero)
+    if r < full:
+        r = rank(QQ, nonzero)
+    return len(columns) - 2 * r

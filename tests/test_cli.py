@@ -1,5 +1,6 @@
 """Command-line behavior, document round-trips, and exit codes."""
 
+import gc
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from quiverstab import (
     framed_quiver,
 )
 from quiverstab.cli import (
+    _emit,
     build_parser,
     main,
     rep_from_doc,
@@ -170,6 +172,52 @@ def test_cli_import_loads_no_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_prime_field():
+    # F_p for the tangent rank tests primality by trial division, milliseconds a build
+    src = Path(quiverstab.__file__).resolve().parents[1]
+    probe = ("import quiverstab.cli, quiverstab.stabcheck as s; "
+             "print(s._modular_field.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0"
+
+
+JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+JSON_DOC = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_DOC)
+def test_document_writer_lays_out_json_as_json_dumps(doc):
+    out = []
+    _emit(out, doc, "")
+    assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_orbit_sum_leaves_no_cyclic_garbage(capsys):
+    argv = ["rep", "orbit-sum", "--type", "A2", "--points", "1,2;3,5;7,11"]
+    assert main(argv) == 0  # the first call builds the parser and the quiver
+    capsys.readouterr()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        leaked = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert json.loads(capsys.readouterr().out)["dims"] == {"inf": 1, "0": 3, "1": 3, "2": 3}
+    assert leaked == 0
 
 
 def test_domain_error_exit_code_and_name(capsys):
@@ -568,6 +616,9 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(error + ": ") and err.count("\n") == 1
+    if "{long_n}" in argv:  # the line names the limit, not Python's advice to raise it
+        assert err == (f"DocumentError: cannot read {paths['long_n']}: "
+                       "an integer of 5000 digits is over the limit of 4300\n")
 
 
 def test_rep_check_prints_a_zero_dimensional_vertex_as_empty(capsys, tmp_path):
