@@ -25,7 +25,7 @@ from .quiverrep import (
     framed_quiver,
     moment_defect,
 )
-from .rootsys import DynkinType, build_root_system, parse_int
+from .rootsys import DynkinType, build_root_system, check_digit_runs, parse_int
 from .stability import ConeSpec, cone_membership, craw_wye_theta, make_theta
 from .stabcheck import hn_filtration, stability_report, tangent_dimension
 from .walls import SlicePlane, build_arrangement, figure_plane, render_slice
@@ -55,10 +55,12 @@ def _rational(value):
     without the exponent test and ``Fraction``'s parser; every caller
     coerces the entry, so a plain int serves.  Raises DocumentError for a
     JSON float or boolean, which is no exact entry, and for a decimal
-    exponent of magnitude over MAX_EXPONENT; an exponent or integer of over
-    4,300 digits raises ValueError, which every caller reports as malformed.
+    exponent of magnitude over MAX_EXPONENT.  A digit run over 4,300 digits
+    raises ValueError (:func:`check_digit_runs`) before ``Fraction`` reads
+    it, and every caller reports that as malformed.
     """
     if isinstance(value, str):
+        check_digit_runs(value)
         try:
             return parse_int(value)
         except ValueError:
@@ -141,25 +143,10 @@ def rep_from_doc(doc: dict) -> FramedRep:
     return FramedRep(framed_quiver(rs), field, dims, matrices)
 
 
-def _json_int(text: str) -> int:
-    """``int`` of a JSON integer literal, refusing one over the interpreter's digit limit.
-
-    The refusal names the limit instead of passing on Python's advice to
-    raise it, which a command-line user cannot act on.
-    """
-    try:
-        return int(text)
-    except ValueError:  # the scanner has checked the syntax; only the length is left
-        digits = len(text.lstrip("-"))
-        raise ValueError(
-            f"an integer of {digits} digits is over the limit of {sys.get_int_max_str_digits()}"
-        ) from None
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_json_int)
+            return json.load(fh, parse_int=parse_int)  # names the digit limit it refuses
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, JSON or int
         raise DocumentError(f"cannot read {path}: {exc}") from None
 

@@ -1,15 +1,16 @@
 """Exact scalar fields and small dense linear algebra over them.
 
 Two coefficient fields are supported: the rationals (arbitrary precision,
-via :class:`fractions.Fraction`) and prime fields F_p (plain ints reduced
-mod p).  Matrices are immutable tuples of row tuples; all routines are
-pure functions.  Sizes in this package stay tiny (dimensions well under a
+ints and :class:`fractions.Fraction`) and prime fields F_p (plain ints
+reduced mod p).  Matrices are immutable tuples of row tuples; all routines
+are pure functions.  Sizes in this package stay tiny (dimensions well under a
 hundred), so clarity beats asymptotics throughout.
 
 A field is a row normaliser, not a scalar calculator: every kernel
 computes with Python operators and hands each row once to
-``field.reduce``, which makes every entry a Fraction over Q and reduces
-it ``% p`` over F_p.  Elements are kept reduced, so a zero entry is a
+``field.reduce``: over Q, whose elements are ints and Fractions, a row
+stays as it is, so int rows stay ints until a pivot is inverted; over F_p
+it is reduced ``% p``.  Elements are kept reduced, so a zero entry is a
 falsy one; ``rref`` reduces its input rows first and accepts any ints.
 
 Elimination inserts one row at a time into a reduced echelon basis
@@ -33,23 +34,21 @@ from .errors import NonIntegralEntry, UnsupportedField
 
 
 class Rationals:
-    """The field of rational numbers; elements are Fractions, and reducing a row makes them so."""
+    """The field of rational numbers; elements are ints and Fractions, and rows need no reducing."""
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
+    reduce = staticmethod(tuple)
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def reduce(self, values):
-        return tuple([x if type(x) is Fraction else Fraction(x) for x in values])
 
     def __repr__(self):
         return "Rationals()"
@@ -193,8 +192,7 @@ def mat_mul(field, a, b):
 
 
 def mat_vec(field, a, v):
-    """The product a v; an empty v gives field.zero entries, not the int 0."""
-    return field.reduce([dot(row, v) or field.zero for row in a])
+    return field.reduce([dot(row, v) for row in a])
 
 
 def leading_index(row):

@@ -46,10 +46,11 @@ INF = "inf"
 # with the total split evenly, and the dense relation Jacobian grows as the
 # fourth power of the total.  On a 2-core host, in-process, `stab tangent`
 # takes 0.1 s on the 15-point A1 orbit module (total 31), whose Jacobian
-# has full rank mod p, and 0.4-0.5 s where the rank falls back to Q: 14
-# orbits plus a zero summand, or 15 orbits with coordinates divisible by
-# p.  The zero A1 (0, (16, 16)) document takes 0.03 s, its Jacobian being
-# zero, and `rep check` takes 3 ms on any of them.
+# has full rank mod p, and 0.1-0.2 s where the rank falls back to Q, on
+# its integer columns: 14 orbits plus a zero summand, or 15 orbits with
+# coordinates divisible by p.  The zero A1 (0, (16, 16)) document takes
+# 0.02 s, its Jacobian being zero, and `rep check` takes 1-3 ms on any of
+# them.
 MAX_TOTAL_DIM = 32
 
 
@@ -166,36 +167,26 @@ class FramedRep:
         return FramedRep(self.quiver, self.field, self.dims, new)
 
 
-class _Integers:
-    """The integers as a row normaliser: rows of ints stay plain ints.
-
-    The matrix kernels compute with Python operators and hand each row to
-    ``reduce``, so under this normaliser they multiply integral forms
-    exactly without a Fraction.  Nothing is ever inverted.
-    """
-
-    zero = 0
-    coerce = staticmethod(int)
-    reduce = staticmethod(tuple)
-
-
-_ZZ = _Integers()
-
-
 def _integral_form(rep: FramedRep):
-    """(rep's matrices times den, as a representation over the integers, den).
+    """(rep's matrices times den, as a representation over Q with int entries, den).
 
     ``den`` is the least common denominator of every entry of a rational
     representation (:func:`over_lcd`), so each relation value of the
     integral form is den^2 times that of ``rep`` and each relation
-    Jacobian entry den times: the same zeros, the same ranks.
+    Jacobian entry den times: the same zeros, the same ranks.  The kernels
+    keep int rows as ints, so the integral form is multiplied and ranked
+    without a Fraction.  A representation whose entries are all ints is
+    its own integral form, so clearing it again costs one pass.
     """
     mats = rep.matrices
-    nums, den = over_lcd([x for mat in mats.values() for row in mat for x in row])
+    flat = [x for mat in mats.values() for row in mat for x in row]
+    if all([type(x) is int for x in flat]):
+        return rep, 1
+    nums, den = over_lcd(flat)
     it = iter(nums)
     ints = {label: tuple([tuple(islice(it, len(row))) for row in mat])
             for label, mat in mats.items()}
-    return FramedRep(rep.quiver, _ZZ, rep.dims, ints), den
+    return FramedRep(rep.quiver, rep.field, rep.dims, ints), den
 
 
 def moment_defect(rep: FramedRep):
@@ -207,16 +198,21 @@ def moment_defect(rep: FramedRep):
     vertex is omitted: its trace is determined by the others.  A product
     through a zero-dimensional vertex is zero and is skipped.  Over Q the
     products run on the integral form, and each value is divided by den^2
-    once at the end.
+    once at the end, so every value is a Fraction.
     """
+    if not isinstance(rep.field, Rationals):
+        return _defect(rep)
+    ints, den = _integral_form(rep)
+    scale = den * den
+    return {
+        i: tuple([tuple([Fraction(x, scale) for x in row]) for row in mat])
+        for i, mat in _defect(ints).items()
+    }
+
+
+def _defect(rep: FramedRep):
+    """The relation values of :func:`moment_defect`, computed on the entries as they are."""
     field = rep.field
-    if isinstance(field, Rationals):
-        ints, den = _integral_form(rep)
-        scale = den * den
-        return {
-            i: tuple([tuple([Fraction(x, scale) for x in row]) for row in mat])
-            for i, mat in moment_defect(ints).items()
-        }
     dims = rep.dims
     defect = {i: zeros(field, dims.v[i], dims.v[i]) for i in rep.quiver.rs.vertices}
 
@@ -244,7 +240,7 @@ def is_pi_bar_module(rep: FramedRep) -> bool:
     """
     if isinstance(rep.field, Rationals):
         rep = _integral_form(rep)[0]
-    return not any(x for mat in moment_defect(rep).values() for row in mat for x in row)
+    return not any(x for mat in _defect(rep).values() for row in mat for x in row)
 
 
 def framed_orbit_sum(rs: RootSystem, points, field) -> FramedRep:

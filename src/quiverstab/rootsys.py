@@ -11,6 +11,8 @@ vectors.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -28,16 +30,32 @@ from . import fieldops
 MAX_GROUP_ORDER = 120
 
 
+def check_digit_runs(text: str):
+    """Refuse a run of digits in ``text`` that ``int`` would refuse, naming the limit.
+
+    ``int`` reads at most ``sys.get_int_max_str_digits()`` digits (4,300 by
+    default; underscores do not count) and advises raising that limit, which
+    a command-line user cannot act on.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        runs = re.findall(r"\d+(?:_\d+)*", text)
+        digits = max([len(run) - run.count("_") for run in runs], default=0)
+        if digits > limit:
+            raise ValueError(f"an integer of {digits} digits is over the limit of {limit}")
+
+
 def parse_int(value) -> int:
     """An exact int as it is, or the int an ASCII ``[+-]?[0-9]+`` string writes.
 
     Anything else raises ValueError: a bool, a float, or text that ``int``
     alone would read, such as "1_0", surrounding spaces and any Unicode
-    digit ("٣", "６").  Over 4,300 digits still raise, as ``int`` does.
+    digit ("٣", "６").  Over 4,300 digits raise :func:`check_digit_runs`.
     """
     if isinstance(value, str):
         digits = value[1:] if value.startswith(("+", "-")) else value
         if digits.isascii() and digits.isdigit():
+            check_digit_runs(digits)
             return int(value)
     elif type(value) is int:
         return value

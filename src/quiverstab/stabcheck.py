@@ -282,7 +282,7 @@ def submodule_lattice(rep: FramedRep) -> SubmoduleLattice:
         if len(nodes) >= node_cap:
             raise LatticeTooLarge(
                 f"lattice exceeds {node_cap} nodes: {len(atoms)} atoms, "
-                f"{len(nodes)} nodes found, {len(joined)} distinct joins eliminated"
+                f"{len(nodes)} nodes found, {len(joined)} distinct joins"
             )
         nodes[sig] = None
 

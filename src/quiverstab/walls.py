@@ -30,7 +30,7 @@ from .errors import (
     SamplerExhausted,
     SliceTooLarge,
 )
-from .fieldops import QQ, dot, identity, mat_coerce, nullspace, over_lcd, primitive, signs
+from .fieldops import QQ, dot, nullspace, over_lcd, primitive, signs
 from .rootsys import RootSystem, m_delta_plus_root
 from .stability import StabilityVector, cone_membership, holds, make_theta, theta_from_nums
 
@@ -273,9 +273,7 @@ def _fractions(found):
 
 def _equality_directions(rs, constraints):
     eqs = [tuple(c) for c, rel, _ in _as_triples(constraints) if rel == "="]
-    if not eqs:
-        return identity(QQ, len(rs.vertices))
-    return nullspace(QQ, mat_coerce(QQ, eqs), len(rs.vertices))
+    return nullspace(QQ, eqs, len(rs.vertices))  # the identity when there are none
 
 
 def generic_relint_point(rs: RootSystem, n: int, constraints, avoid):

@@ -526,6 +526,11 @@ def _fp_doc_with_entry(entry):
         (["rep", "check", "--rep", "{not_utf8}"], "DocumentError"),
         (["rep", "check", "--rep", "{deep}"], "DocumentError"),
         (["cone", "check", "--theta", "{long_n}", "--cone", "F"], "DocumentError"),
+        # the same digit limit for integers written as strings, in any digit run
+        (["cone", "check", "--theta", "{long_n_text}", "--cone", "F"], "DocumentError"),
+        (["cone", "check", "--theta", "{long_denominator}", "--cone", "F"], "DocumentError"),
+        (["cone", "check", "--theta", "{long_decimal}", "--cone", "F"], "DocumentError"),
+        (["rep", "check", "--rep", "{long_entry_rep}"], "DocumentError"),
         (["walls", "build", "--type", "A2", "-n", "0"], "ContextMismatch"),
         (["walls", "slice", "--type", "A1", "-n", "1", "--out", "{svg}", "--plane", "junk"],
          "DocumentError"),
@@ -557,7 +562,9 @@ def _fp_doc_with_entry(entry):
          "float-entry-rep", "theta-other-n-report", "theta-other-n-hn",
          "theta-other-type-report", "theta-other-type-hn", "string-rows", "dict-matrix",
          "string-matrix", "float-n-rep", "bool-n-rep", "text-n-rep", "not-utf8",
-         "nested-too-deep", "n-5000-digits", "build-n0", "plane-junk-chunk",
+         "nested-too-deep", "n-5000-digits", "n-5000-digit-string",
+         "denominator-5000-digits", "decimal-5000-digits", "rep-entry-5000-digits",
+         "build-n0", "plane-junk-chunk",
          "plane-without-directions", "plane-window-2-entries", "label-two-fields",
          "no-points", "n-disagrees-with-points"],
 )
@@ -596,6 +603,10 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
         "float_n_rep": {**_fp_doc_with_entry("1"), "n": 2.7},
         "bool_n_rep": {**_fp_doc_with_entry("1"), "n": True},
         "text_n_rep": {**_fp_doc_with_entry("1"), "n": "zz"},
+        "long_n_text": {"type": "A1", "n": "9" * 5000, "entries": {"0": "1", "1": "1"}},
+        "long_denominator": {"type": "A1", "n": 1, "entries": {"0": "1/" + "9" * 5000, "1": "1"}},
+        "long_decimal": {"type": "A1", "n": 1, "entries": {"0": "0." + "9" * 5000, "1": "1"}},
+        "long_entry_rep": _fp_doc_with_entry("9" * 5000),
     }
     paths = {"svg": tmp_path / "x.svg", "nowhere": tmp_path / "missing"}
     for name, doc in docs.items():
@@ -616,6 +627,7 @@ def test_bad_input_is_one_domain_error_line(capsys, tmp_path, argv, error):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(error + ": ") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err  # advice a command-line user cannot act on
     if "{long_n}" in argv:  # the line names the limit, not Python's advice to raise it
         assert err == (f"DocumentError: cannot read {paths['long_n']}: "
                        "an integer of 5000 digits is over the limit of 4300\n")

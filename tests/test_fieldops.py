@@ -1,4 +1,4 @@
-"""Contract of the fieldops kernels: reduced ints over F_p, Fractions over Q."""
+"""Contract of the fieldops kernels: reduced ints over F_p, ints and Fractions over Q."""
 
 from fractions import Fraction
 from math import gcd
@@ -6,6 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import zero_summand
+
+from quiverstab import DynkinType, build_root_system, direct_sum, framed_orbit_sum
 from quiverstab.errors import NonIntegralEntry
 from quiverstab.fieldops import (
     QQ,
@@ -19,6 +22,8 @@ from quiverstab.fieldops import (
     rank,
     rref,
 )
+from quiverstab.quiverrep import _integral_form
+from quiverstab.stabcheck import _relation_jacobian
 
 
 def _matrix(entries, rows, cols):
@@ -95,21 +100,82 @@ def test_prime_field_kernels_reduce_their_input(case):
         assert type(x) is int and 0 <= x < p
 
 
-@settings(max_examples=200, deadline=None)
-@given(rational_case())
-def test_rational_kernels_return_fractions(case):
-    rows, n = case
-    square = _square(rows, n)
-    results = [
-        rref(QQ, rows)[0],
+def _rational_results(rows, n):
+    """Every Q kernel on an m x n matrix ``rows``."""
+    return (
+        rref(QQ, rows),
+        rank(QQ, rows),
         nullspace(QQ, rows, n),
-        invert(QQ, square),
+        invert(QQ, _square(rows, n)),
         mat_mul(QQ, rows, tuple(zip(*rows))),
         mat_mul(QQ, tuple(zip(*rows)), rows),
         mat_vec(QQ, rows, (Fraction(1, 2),) * n),
-    ]
-    for x in _entries(tuple(results)):
-        assert type(x) is Fraction
+        mat_vec(QQ, rows, tuple(range(n))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_case())
+def test_rational_kernels_equal_their_runs_on_fractions(case):
+    # an element of Q is an int or a Fraction, whichever the arithmetic gave
+    rows, n = case
+    results = _rational_results(rows, n)
+    as_fractions = tuple(tuple(map(Fraction, row)) for row in rows)
+    assert results == _rational_results(as_fractions, n)
+    for x in _entries(results):
+        assert type(x) is int or type(x) is Fraction
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination in plain Fractions, on sparse rows.
+
+    Each row, kept as {column: nonzero entry}, is reduced by the pivot rows
+    on its leading column until it is zero or leads a new pivot column.
+    """
+    pivots = {}
+    for row in rows:
+        v = {j: Fraction(x) for j, x in enumerate(row) if x}
+        while v:
+            lead = min(v)
+            if lead not in pivots:
+                pivots[lead] = {j: x / v[lead] for j, x in v.items()}
+                break
+            c = v[lead]
+            for j, x in pivots[lead].items():
+                y = v.get(j, 0) - c * x
+                if y:
+                    v[j] = y
+                else:
+                    v.pop(j, None)
+    return len(pivots)
+
+
+@st.composite
+def low_rank_case(draw):
+    """An m x n product of an m x k and a k x n matrix, so its rank is at most k."""
+    m, k, n = draw(st.integers(0, 7)), draw(st.integers(0, 4)), draw(st.integers(0, 7))
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    ints = st.integers(-5, 5)
+    entries = draw(st.sampled_from([fractions, ints, fractions | ints]))
+    left, right = draw(_matrix(entries, m, k)), draw(_matrix(entries, k, n))
+    return tuple(tuple(sum(a * right[i][j] for i, a in enumerate(row)) for j in range(n))
+                 for row in left)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rational_case().map(lambda case: case[0]), low_rank_case()))
+def test_rational_rank_matches_fraction_elimination(rows):
+    assert rank(QQ, rows) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("type_label,k", [("A1", k) for k in range(1, 11)]
+                         + [("A2", k) for k in range(1, 6)])
+def test_rational_rank_of_an_orbit_plus_zero_jacobian(type_label, k):
+    # the singular points whose tangent falls back to the rational rank
+    rs = build_root_system(DynkinType.parse(type_label))
+    rep = direct_sum([framed_orbit_sum(rs, [(1, j) for j in range(k)], QQ), zero_summand(rs)])
+    columns = [col for col in _relation_jacobian(_integral_form(rep)[0]) if any(col)]
+    assert rank(QQ, columns) == fraction_rank(columns)
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,7 +206,7 @@ def test_empty_products_are_field_zeros():
     # inner dimension 0: a 2 x 0 matrix times a 0 x 0 one, and by the empty vector
     assert mat_mul(QQ, ((), ()), ()) == ((), ())
     assert mat_vec(QQ, ((), ()), ()) == (Fraction(0), Fraction(0))
-    assert all(type(x) is Fraction for x in mat_vec(QQ, ((), ()), ()))
+    assert all(type(x) is int or type(x) is Fraction for x in mat_vec(QQ, ((), ()), ()))
 
 
 def _lcd_reference(values):
